@@ -17,13 +17,12 @@ from .errors import OutsideFamilyError
 from .exact import max_clique, max_independent_set
 from .formats import encode_graph6
 from .graph import Graph, complete_multipartite, degree_sequence
-from .recognition import (
+from .recognition import is_clique_union, is_complete_multipartite
+from .sequences import (
+    DegreeSequence,
     clique_union_profile_from_degrees,
-    is_clique_union,
-    is_complete_multipartite,
     multipartite_profile_from_degrees,
 )
-from .sequences import DegreeSequence
 
 REPORT_SCHEMA_VERSION = 1
 

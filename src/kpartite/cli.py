@@ -21,10 +21,13 @@ from .formats import (
     DIMACS,
     EDGES,
     GRAPH6,
+    encode_csv,
     encode_graph6,
     load_graph,
     load_graphs,
     save_graph,
+    save_graphs,
+    write_text,
 )
 from .graph import Graph, complete_graph, cycle_graph, empty_graph, path_graph, petersen_graph
 from .harness import (
@@ -39,14 +42,15 @@ from .realizations import (
     havel_hakimi_realize,
     random_switch_walk,
 )
-from .recognition import (
+from .recognition import is_clique_union, is_complete_multipartite
+from .sequences import (
+    DegreeSequence,
+    PartitionProfile,
     clique_union_profile_from_degrees,
-    is_clique_union,
-    is_complete_multipartite,
     is_graphical,
     multipartite_profile_from_degrees,
+    parse_degree_list,
 )
-from .sequences import DegreeSequence, PartitionProfile, parse_degree_list
 from .witness import witness_clique, witness_independent_set
 
 _PATTERN_RE = re.compile(r"^([pcke])(\d+)$")
@@ -76,11 +80,10 @@ def _parse_profile(text: str) -> PartitionProfile:
     return PartitionProfile(parts)
 
 
-def _emit(text: str, out: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _write_graph(g: Graph, args) -> None:
+    """graph6 on stdout whatever ``--format`` says; a file gets ``--format``
+    or the format its suffix names."""
+    save_graph(g, args.out, GRAPH6 if args.out == "-" else args.format)
 
 
 def _profile_json(profile: PartitionProfile | None):
@@ -117,7 +120,7 @@ def _cmd_recognize(args) -> int:
     result["clique_union_profile_from_degrees"] = _profile_json(
         clique_union_profile_from_degrees(degrees)
     )
-    _emit(json.dumps(result, indent=2) + "\n", args.out)
+    write_text(json.dumps(result, indent=2) + "\n", args.out)
     return 0
 
 
@@ -129,7 +132,7 @@ def _cmd_exact(args) -> int:
         "size": cert.size,
         "vertices": list(cert.sorted_vertices()),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    write_text(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
@@ -147,22 +150,15 @@ def _gather_graphs(path: str, fmt: str | None) -> list[Graph]:
 def _cmd_bounds(args) -> int:
     if args.profiles:
         profiles = [_parse_profile(tok) for tok in args.profiles]
-        _emit(bounds_report_csv(profiles), args.out)
+        write_text(bounds_report_csv(profiles), args.out)
         return 0
     graphs = _gather_graphs(args.input, args.format)
     if len(graphs) == 1:
         report = compare_bounds(graphs[0], with_exact=args.exact)
-        _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+        write_text(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
         return 0
-    import csv as _csv
-    import io as _io
-
-    buffer = _io.StringIO()
-    writer = _csv.writer(buffer, lineterminator="\n")
-    writer.writerow(BoundReport.CSV_COLUMNS)
-    for g in graphs:
-        writer.writerow(compare_bounds(g, with_exact=args.exact).to_csv_row())
-    _emit(buffer.getvalue(), args.out)
+    rows = (compare_bounds(g, with_exact=args.exact).to_csv_row() for g in graphs)
+    write_text(encode_csv(BoundReport.CSV_COLUMNS, rows), args.out)
     return 0
 
 
@@ -183,46 +179,31 @@ def _cmd_witness(args) -> int:
         "k": profile.k,
         "parts": list(profile.parts),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    write_text(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_realize(args) -> int:
-    g = havel_hakimi_realize(_read_degree_argument(args))
-    if args.out == "-":
-        sys.stdout.write(encode_graph6(g) + "\n")
-    else:
-        save_graph(g, args.out, args.format)
+    _write_graph(havel_hakimi_realize(_read_degree_argument(args)), args)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     degrees = _read_degree_argument(args)
-    lines = []
-    for g in enumerate_realizations(degrees):
-        lines.append(encode_graph6(g) + "\n")
-    _emit("".join(lines), args.out)
-    print(f"{len(lines)} realizations of {list(degrees)}", file=sys.stderr)
+    graphs = list(enumerate_realizations(degrees))
+    save_graphs(graphs, args.out)
+    print(f"{len(graphs)} realizations of {list(degrees)}", file=sys.stderr)
     return 0
 
 
 def _cmd_sample(args) -> int:
     g = load_graph(args.input, args.format)
-    result = random_switch_walk(g, steps=args.steps, seed=args.seed)
-    if args.out == "-":
-        sys.stdout.write(encode_graph6(result) + "\n")
-    else:
-        save_graph(result, args.out, args.format)
+    _write_graph(random_switch_walk(g, steps=args.steps, seed=args.seed), args)
     return 0
 
 
 def _cmd_reduce4(args) -> int:
-    g = load_graph(args.input, args.format)
-    result = four_copies(g)
-    if args.out == "-":
-        sys.stdout.write(encode_graph6(result) + "\n")
-    else:
-        save_graph(result, args.out, args.format)
+    _write_graph(four_copies(load_graph(args.input, args.format)), args)
     return 0
 
 
@@ -243,7 +224,7 @@ def _cmd_verify_theorem(args) -> int:
     )
     print(f"elapsed: {elapsed:.1f}s", file=sys.stderr)
     if args.out != "-":
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        write_text("\n".join(lines) + "\n", args.out)
     return 1 if violations else 0
 
 
@@ -265,7 +246,7 @@ def _cmd_find_sharp(args) -> int:
         "k": profile.k,
         "alpha": alpha,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    write_text(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 

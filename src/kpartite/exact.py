@@ -138,7 +138,10 @@ def max_independent_set(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> WitnessCerti
 
 
 def max_clique(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> WitnessCertificate:
-    """Maximum clique, solved as an independent set of the complement."""
+    """Maximum clique, solved as an independent set of the complement.  The
+    cap is checked before the O(n^2) complement is built."""
+    if g.n > cap:
+        raise GraphTooLargeError(f"graph has {g.n} vertices, solver cap is {cap}")
     cert = max_independent_set(complement(g), cap=cap)
     return WitnessCertificate(cert.vertices, CLIQUE)
 

@@ -1,4 +1,5 @@
-"""Graph file formats: graph6, whitespace edge lists, and DIMACS.
+"""Graph file formats: graph6, whitespace edge lists, and DIMACS, plus the
+CSV encoder and the text writer every report shares (path ``-`` is stdout).
 
 graph6 is the primary interchange format: one graph per line, ASCII bytes
 with offset 63, upper adjacency triangle packed column by column.  Edge-list
@@ -11,6 +12,8 @@ to 0-indexed in memory.
 
 from __future__ import annotations
 
+import csv
+import io
 import sys
 from pathlib import Path
 
@@ -136,6 +139,15 @@ def decode_edge_list(text: str) -> Graph:
     return Graph(n, edges)
 
 
+def encode_csv(columns, rows) -> str:
+    """CSV text: the header row, then the rows, each ended by a bare newline."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 def encode_dimacs(g: Graph) -> str:
     lines = [f"p edge {g.n} {g.m}"]
     lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
@@ -193,6 +205,14 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
+def write_text(text: str, path: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when it is ``-``."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+
+
 def load_graphs(path: str, fmt: str | None = None) -> list[Graph]:
     """Read every graph in a file (graph6 holds one per line; the other
     formats hold exactly one)."""
@@ -224,16 +244,9 @@ def save_graph(g: Graph, path: str, fmt: str | None = None) -> None:
         text = encode_dimacs(g)
     else:
         raise FormatError(f"unknown format {fmt!r}")
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    write_text(text, path)
 
 
 def save_graphs(graphs: list[Graph], path: str) -> None:
     """Write graphs as one graph6 line each."""
-    text = "".join(encode_graph6(g) + "\n" for g in graphs)
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    write_text("".join(encode_graph6(g) + "\n" for g in graphs), path)

@@ -10,21 +10,18 @@ byte-identical.
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from dataclasses import dataclass
 
 from .bounds import BoundReport, compare_bounds
 from .errors import GraphTooLargeError
 from .exact import max_independent_set
+from .formats import encode_csv
 from .graph import Graph
 from .isomorphism import contains_induced
 from .realizations import ENUMERATION_CAP, enumerate_realizations
 from .recognition import is_clique_union
 from .sequences import DegreeSequence, PartitionProfile
-
-CAMPAIGN_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,8 @@ def iter_profiles(max_n: int):
 
 def check_profile(profile: PartitionProfile, with_reports: bool = True) -> CampaignResult:
     """Enumerate all realizations of the profile's clique-union degree
-    sequence and test the characterization on each."""
+    sequence and test the characterization on each.  With reports, alpha is
+    read from each realization's exact bound report instead of solved again."""
     start = time.perf_counter()
     target = profile.degree_sequence()
     k = profile.k
@@ -85,7 +83,11 @@ def check_profile(profile: PartitionProfile, with_reports: bool = True) -> Campa
     holds = True
     for g in enumerate_realizations(target):
         count += 1
-        alpha = max_independent_set(g).size
+        if with_reports:
+            reports.append(compare_bounds(g, with_exact=True))
+            alpha = reports[-1].exact_alpha
+        else:
+            alpha = max_independent_set(g).size
         recognized = is_clique_union(g)
         if recognized is not None:
             if recognized.parts != profile.parts:
@@ -103,8 +105,6 @@ def check_profile(profile: PartitionProfile, with_reports: bool = True) -> Campa
                 min_alpha = alpha
             if alpha < k + 1:
                 holds = False
-        if with_reports:
-            reports.append(compare_bounds(g, with_exact=True))
     if not canonical_found:
         holds = False
     return CampaignResult(
@@ -163,20 +163,14 @@ def bounds_report_rows(profiles: list[PartitionProfile]) -> list[dict]:
     rows: list[dict] = []
     for profile in profiles:
         k = profile.k
-        for g in enumerate_realizations(profile.degree_sequence()):
-            report = compare_bounds(g, with_exact=True)
-            canonical = is_clique_union(g) is not None
+        for report in check_profile(profile).reports:
+            canonical = report.sharpened_alpha == k
             classical_below = (
                 report.caro_wei < k + 1
                 and report.turan_alpha < k + 1
                 and report.hansen_zheng < k + 1
             )
-            flagged = (
-                not canonical
-                and classical_below
-                and report.exact_alpha is not None
-                and report.exact_alpha >= k + 1
-            )
+            flagged = not canonical and classical_below and report.exact_alpha >= k + 1
             row = dict(zip(BoundReport.CSV_COLUMNS, report.to_csv_row()))
             row["profile"] = " ".join(str(a) for a in profile.parts)
             row["canonical"] = str(canonical)
@@ -187,9 +181,7 @@ def bounds_report_rows(profiles: list[PartitionProfile]) -> list[dict]:
 
 def bounds_report_csv(profiles: list[PartitionProfile]) -> str:
     """CSV campaign report (fixed column order, schema version in each row)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CAMPAIGN_CSV_COLUMNS)
-    for row in bounds_report_rows(profiles):
-        writer.writerow([row[col] for col in CAMPAIGN_CSV_COLUMNS])
-    return buffer.getvalue()
+    rows = bounds_report_rows(profiles)
+    return encode_csv(
+        CAMPAIGN_CSV_COLUMNS, ([row[col] for col in CAMPAIGN_CSV_COLUMNS] for row in rows)
+    )

@@ -179,24 +179,6 @@ def compose_code(segments: list[int]) -> int:
     return code
 
 
-def labeling_segments(n: int, masks: tuple[int, ...]) -> list[int]:
-    """Column segments of the graph under its own labeling."""
-    segs = []
-    for v in range(n):
-        seg = 0
-        for u in range(v):
-            seg = (seg << 1) | ((masks[v] >> u) & 1)
-        segs.append(seg)
-    return segs
-
-
-def min_code_segments(
-    n: int, masks: tuple[int, ...], ranks: tuple[int, ...]
-) -> list[int]:
-    best, _ = _search_min_segments(n, masks, ranks)
-    return best
-
-
 def labeling_is_canonical(
     n: int, masks: tuple[int, ...], ranks: tuple[int, ...], own: list[int]
 ) -> bool:
@@ -215,7 +197,8 @@ def _canonical_key_cached(g: Graph, colors: tuple[int, ...] | None) -> tuple[int
     base = colors if colors is not None else g.degrees()
     ranks = _ranks_by_descending_value(base)
     ranks = _refine_ranks(n, masks, ranks)
-    return n, compose_code(min_code_segments(n, masks, ranks))
+    best, _ = _search_min_segments(n, masks, ranks)
+    return n, compose_code(best)
 
 
 def canonical_key(g: Graph, colors: tuple[int, ...] | None = None) -> tuple[int, int]:

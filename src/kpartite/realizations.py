@@ -10,16 +10,17 @@ exactly once without storing previously seen graphs.  Degree feasibility of
 every partial graph is checked with residual-capacity and Erdos-Gallai
 pruning.
 
-The 2-switch sampler draws from numpy's PCG64 generator, so walks are
-reproducible from the seed across platforms.
+The 2-switch sampler draws from the standard library's ``random.Random``
+seeded with the walk seed.  Only its ``random()`` floats are used, the one
+stream Python keeps the same across versions, so walks replay from the seed
+on every platform.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from .errors import GraphTooLargeError, NonGraphicalError
 from .graph import Graph, disjoint_union
@@ -232,25 +233,30 @@ def random_switch_walk(g: Graph, steps: int, seed: int) -> Graph:
     """Walk ``steps`` proposed 2-switches from ``g``; proposals that would
     create loops or duplicate edges are rejected but still consume a step.
 
-    Deterministic: proposals are drawn from numpy's PCG64 stream for ``seed``.
-    Every visited graph has the degree sequence of ``g``.
+    Deterministic: proposals are drawn from ``random.Random(seed)``.  Each
+    edge slot is ``int(random() * count)`` (non-uniform by less than
+    count / 2**53) and the rewiring coin is ``random() < 0.5``.  Negative
+    seeds raise ValueError.  Every visited graph has the degree sequence of
+    ``g``.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    draw = random.Random(seed).random
     edges = [tuple(e) for e in g.edges()]
     adjacency = [set(neigh) for neigh in g.adjacency]
     m = len(edges)
     for _ in range(steps):
         if m < 2:
             break
-        i = int(rng.integers(0, m))
-        j = int(rng.integers(0, m - 1))
+        i = int(draw() * m)
+        j = int(draw() * (m - 1))
         if j >= i:
             j += 1
         a, b = edges[i]
         c, d = edges[j]
         if len({a, b, c, d}) != 4:
             continue
-        if rng.integers(0, 2) == 0:
+        if draw() < 0.5:
             new1, new2 = (a, c), (b, d)
         else:
             new1, new2 = (a, d), (b, c)

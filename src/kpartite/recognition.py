@@ -11,22 +11,7 @@ from collections import defaultdict
 
 from .graph import Graph, connected_components
 from .instrument import OpCounter
-from .sequences import (
-    CLIQUE_SIZES,
-    MULTIPARTITE_PARTS,
-    PartitionProfile,
-    clique_union_profile_from_degrees,
-    is_graphical,
-    multipartite_profile_from_degrees,
-)
-
-__all__ = [
-    "is_complete_multipartite",
-    "is_clique_union",
-    "multipartite_profile_from_degrees",
-    "clique_union_profile_from_degrees",
-    "is_graphical",
-]
+from .sequences import CLIQUE_SIZES, MULTIPARTITE_PARTS, PartitionProfile
 
 
 def is_complete_multipartite(

@@ -36,8 +36,8 @@ from .errors import CanonicalGraphError, OutsideFamilyError, ProofStateError
 from .exact import CLIQUE, INDEPENDENT_SET, WitnessCertificate
 from .graph import Graph, complement, connected_components, degree_sequence, induced_subgraph
 from .instrument import OpCounter
-from .recognition import clique_union_profile_from_degrees, is_clique_union
-from .sequences import CLIQUE_SIZES, PartitionProfile
+from .recognition import is_clique_union
+from .sequences import CLIQUE_SIZES, PartitionProfile, clique_union_profile_from_degrees
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,6 @@ class ProofState:
     layers: tuple[tuple[int, ...], ...]
     independent: tuple[int, ...]
     level: int
-
-    @property
-    def active_vertices(self) -> frozenset[int]:
-        """Vertices of the layers currently in play."""
-        count = self.min_part_count + self.level
-        return frozenset(v for layer in self.layers[:count] for v in layer)
 
 
 def strip_clique_components(

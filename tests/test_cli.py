@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kpartite
 from kpartite import (
     clique_union,
     cycle_graph,
@@ -121,6 +126,8 @@ def test_sample_and_reduce4(tmp_path, capsys):
     assert degree_sequence(sampled) == degree_sequence(clique_union([3, 3, 4]))
     code2, out2, _ = run(capsys, "sample", "--input", str(path), "--steps", "50", "--seed", "3")
     assert out2 == out
+    code, out, err = run(capsys, "sample", "--input", str(path), "--steps", "50", "--seed", "-1")
+    assert code == 2 and out == "" and err.startswith("error:")
 
     cubic = tmp_path / "k4.g6"
     save_graph(parse_k4(), str(cubic))
@@ -184,3 +191,16 @@ def test_output_file_flag(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(out_path.read_text())["graphical"] is True
+
+
+def test_import_loads_only_the_standard_library():
+    script = (
+        "import sys; before = set(sys.modules); import kpartite, kpartite.cli; "
+        "new = {name.split('.')[0] for name in set(sys.modules) - before}; "
+        "print(sorted(new - sys.stdlib_module_names - {'kpartite'}))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(kpartite.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

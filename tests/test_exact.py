@@ -69,6 +69,15 @@ def test_caps():
     assert max_independent_set(empty_graph(65), cap=70).size == 65
 
 
+def test_max_clique_checks_cap_before_complement(monkeypatch):
+    def no_complement(g):
+        raise AssertionError("complement built before the cap check")
+
+    monkeypatch.setattr("kpartite.exact.complement", no_complement)
+    with pytest.raises(GraphTooLargeError):
+        max_clique(empty_graph(65))
+
+
 def test_solver_matches_brute_force_on_random_corpus():
     for g in random_graph_corpus(count=60, max_n=12, seed=11):
         assert max_independent_set(g).size == brute_force_alpha(g)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,9 @@ from kpartite import (
     path_graph,
     verify_theorem,
 )
+import kpartite.bounds
+import kpartite.exact
+import kpartite.harness
 from kpartite.harness import ascending_partitions
 
 
@@ -83,6 +87,9 @@ def test_bounds_report_csv_is_deterministic_and_flags_sharp_rows():
     first = bounds_report_csv(profiles)
     second = bounds_report_csv(profiles)
     assert first == second
+    # The campaign CSV is a published output: its bytes are pinned.
+    digest = hashlib.sha256(first.encode()).hexdigest()
+    assert digest == "2863eab0264fc31eb4e4fed73add602192ab4e35a3a971e48195a266e4735062"
     lines = first.strip().splitlines()
     header = lines[0].split(",")
     assert header[0] == "profile"
@@ -99,3 +106,24 @@ def test_bounds_report_csv_is_deterministic_and_flags_sharp_rows():
 
 def test_empty_campaign():
     assert bounds_report_csv([]).strip().splitlines()[0].startswith("profile")
+
+
+def test_check_profile_with_reports_solves_alpha_once(monkeypatch):
+    calls = {"mis": 0, "clique": 0}
+    solve, clique = kpartite.exact.max_independent_set, kpartite.bounds.max_clique
+
+    def counted_mis(*args, **kwargs):
+        calls["mis"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_clique(*args, **kwargs):
+        calls["clique"] += 1
+        return clique(*args, **kwargs)
+
+    for module in (kpartite.exact, kpartite.bounds, kpartite.harness):
+        monkeypatch.setattr(module, "max_independent_set", counted_mis)
+    monkeypatch.setattr(kpartite.bounds, "max_clique", counted_clique)
+    result = check_profile(PartitionProfile((2, 3, 3)), with_reports=True)
+    assert result.realization_count > 1
+    assert calls["clique"] == result.realization_count
+    assert calls["mis"] == result.realization_count + calls["clique"]

@@ -16,6 +16,7 @@ from kpartite import (
     complete_multipartite,
     cycle_graph,
     degree_sequence,
+    encode_graph6,
     enumerate_realizations,
     four_copies,
     havel_hakimi_realize,
@@ -182,6 +183,19 @@ def test_random_walk_is_seed_deterministic():
     b = random_switch_walk(g, steps=200, seed=99)
     assert a == b
     assert degree_sequence(a) == degree_sequence(g)
+
+
+def test_random_walk_replays_recorded_stream():
+    # Pinned endpoints of the random.Random(seed) stream; a change here
+    # changes every seeded `sample` output.
+    walked = random_switch_walk(clique_union([3, 3, 4]), steps=200, seed=99)
+    assert encode_graph6(walked) == "I`?PQCH`G"
+    assert encode_graph6(random_switch_walk(petersen_graph(), steps=50, seed=7)) == "IaKDHXO`G"
+
+
+def test_random_walk_rejects_negative_seed():
+    with pytest.raises(ValueError):
+        random_switch_walk(cycle_graph(6), steps=10, seed=-1)
 
 
 def test_random_walk_identity_and_small_graphs():
