@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .bounds import BoundReport, compare_bounds
-from .errors import KPartiteError
+from .errors import FormatError, KPartiteError
 from .exact import max_clique, max_independent_set
 from .formats import (
     DIMACS,
@@ -23,8 +23,10 @@ from .formats import (
     GRAPH6,
     encode_csv,
     encode_graph6,
+    infer_format,
     load_graph,
     load_graphs,
+    read_text,
     save_graph,
     save_graphs,
     write_text,
@@ -80,24 +82,13 @@ def _parse_profile(text: str) -> PartitionProfile:
     return PartitionProfile(parts)
 
 
-def _write_graph(g: Graph, args) -> None:
-    """graph6 on stdout whatever ``--format`` says; a file gets ``--format``
-    or the format its suffix names."""
-    save_graph(g, args.out, GRAPH6 if args.out == "-" else args.format)
-
-
 def _profile_json(profile: PartitionProfile | None):
     return None if profile is None else list(profile.parts)
 
 
 def _read_degree_argument(args) -> DegreeSequence:
     if getattr(args, "degrees_file", None):
-        text = (
-            sys.stdin.read()
-            if args.degrees_file == "-"
-            else Path(args.degrees_file).read_text()
-        )
-        return parse_degree_list(text)
+        return parse_degree_list(read_text(args.degrees_file))
     return parse_degree_list(args.degrees)
 
 
@@ -184,11 +175,14 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    _write_graph(havel_hakimi_realize(_read_degree_argument(args)), args)
+    save_graph(havel_hakimi_realize(_read_degree_argument(args)), args.out, args.format)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
+    fmt = args.format or infer_format(args.out)
+    if fmt != GRAPH6:
+        raise FormatError(f"enumerate writes graph6 only, one graph per line; got {fmt}")
     degrees = _read_degree_argument(args)
     graphs = list(enumerate_realizations(degrees))
     save_graphs(graphs, args.out)
@@ -198,12 +192,12 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_sample(args) -> int:
     g = load_graph(args.input, args.format)
-    _write_graph(random_switch_walk(g, steps=args.steps, seed=args.seed), args)
+    save_graph(random_switch_walk(g, steps=args.steps, seed=args.seed), args.out, args.format)
     return 0
 
 
 def _cmd_reduce4(args) -> int:
-    _write_graph(four_copies(load_graph(args.input, args.format)), args)
+    save_graph(four_copies(load_graph(args.input, args.format)), args.out, args.format)
     return 0
 
 
@@ -256,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=[GRAPH6, EDGES, DIMACS],
         default=None,
-        help="input format (default: inferred from the file extension)",
+        help="graph file format, input and output (default: from the suffix; graph6 on stdout)",
     )
     common.add_argument("--out", default="-", help="output path (default: stdout)")
     common.add_argument("--seed", type=int, default=0, help="random seed")

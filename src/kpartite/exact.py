@@ -41,13 +41,14 @@ def validate_certificate(g: Graph, certificate: WitnessCertificate) -> bool:
     members = sorted(certificate.vertices)
     if members and not (0 <= members[0] and members[-1] < g.n):
         return False
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            adjacent = v in g.adjacency[u]
-            if certificate.kind == INDEPENDENT_SET and adjacent:
-                return False
-            if certificate.kind == CLIQUE and not adjacent:
-                return False
+    rows = g.adjacency_masks()
+    chosen = sum(1 << v for v in members)
+    for u in members:
+        others = rows[u] & chosen
+        if certificate.kind == INDEPENDENT_SET and others:
+            return False
+        if certificate.kind == CLIQUE and others != chosen ^ (1 << u):
+            return False
     return True
 
 

@@ -1,47 +1,73 @@
 """Immutable simple undirected graphs on vertices 0..n-1.
 
-Vertex sets are plain ``frozenset[int]`` throughout the package.  All
-operations are pure functions of immutable values, so graphs can be shared
-freely across threads or processes.
+A graph is stored as one integer bitmask row per vertex: bit v of row u is
+set exactly when uv is an edge.  Neighbor sets, degrees and edge lists are
+read off the rows, and the constructors here (complement, induced subgraphs,
+disjoint unions, the named families) build rows directly.  Vertex sets are
+plain ``frozenset[int]`` throughout the package.  All operations are pure
+functions of immutable values, so graphs can be shared freely across threads
+or processes.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from operator import index
 
 from .sequences import DegreeSequence
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a non-negative ``mask``, ascending.
+
+    Scans one ``bin`` string, so the cost is linear in the width of the
+    mask instead of one big-integer operation per set bit.
+    """
+    s = bin(mask)
+    top = len(s) - 1
+    i = s.rfind("1")
+    while i >= 0:
+        yield top - i
+        i = s.rfind("1", 0, i)
+
+
 class Graph:
-    """Simple graph stored as one frozen neighbor set per vertex.
+    """Simple graph stored as one integer bitmask row per vertex.
 
     Build with ``Graph(n, edges)``; loops and out-of-range endpoints are
     rejected, duplicate edges collapse.
     """
 
-    __slots__ = ("n", "_adj", "_m", "_hash", "_masks")
+    __slots__ = ("n", "_rows", "_m", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         n = int(n)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
+        rows = [0] * n
         for u, v in edges:
+            u, v = index(u), index(v)  # NumPy integers would overflow in 1 << v
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
-                m += 1
-        self.n = n
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self._m = m
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        self._set_rows(tuple(rows))
+
+    @classmethod
+    def _from_rows(cls, rows: tuple[int, ...]) -> "Graph":
+        """Trusted constructor: ``rows`` must be symmetric, loop-free and
+        have no bit at or above ``len(rows)``."""
+        g = cls.__new__(cls)
+        g._set_rows(rows)
+        return g
+
+    def _set_rows(self, rows: tuple[int, ...]) -> None:
+        self.n = len(rows)
+        self._rows = rows
+        self._m = sum(r.bit_count() for r in rows) // 2
         self._hash: int | None = None
-        self._masks: tuple[int, ...] | None = None
 
     @classmethod
     def from_adjacency(cls, adjacency: Sequence[Iterable[int]]) -> "Graph":
@@ -50,7 +76,7 @@ class Graph:
         g = cls(n, edges)
         # Reject asymmetric input: every listed neighbor must appear both ways.
         for u in range(n):
-            if set(adjacency[u]) != set(g._adj[u]):
+            if set(adjacency[u]) != g.neighbors(u):
                 raise ValueError("adjacency lists are not symmetric or contain loops")
         return g
 
@@ -59,50 +85,45 @@ class Graph:
         """Edge count."""
         return self._m
 
-    @property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        return self._adj
-
-    def neighbors(self, v: int) -> frozenset[int]:
+    def _row(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
-        return self._adj[v]
+        return self._rows[v]
+
+    def neighbors(self, v: int) -> frozenset[int]:
+        return frozenset(iter_bits(self._row(v)))
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return self._row(v).bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self._adj)
+        return tuple(r.bit_count() for r in self._rows)
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"edge query ({u}, {v}) out of range")
-        return v in self._adj[u]
+        return (self._rows[u] >> v) & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""
-        return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
+        return [
+            (u, u + 1 + w)
+            for u, row in enumerate(self._rows)
+            for w in iter_bits(row >> (u + 1))
+        ]
 
     def adjacency_masks(self) -> tuple[int, ...]:
-        """Neighbor sets as integer bitmasks (bit v of mask u == edge uv)."""
-        if self._masks is None:
-            masks = []
-            for s in self._adj:
-                mask = 0
-                for v in s:
-                    mask |= 1 << v
-                masks.append(mask)
-            self._masks = tuple(masks)
-        return self._masks
+        """The stored rows: bit v of row u is set iff uv is an edge."""
+        return self._rows
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Graph):
-            return self.n == other.n and self._adj == other._adj
+            return self._rows == other._rows
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.n, self._adj))
+            self._hash = hash(self._rows)
         return self._hash
 
     def __repr__(self) -> str:
@@ -111,14 +132,10 @@ class Graph:
 
 def complement(g: Graph) -> Graph:
     """Graph with edge {u,v} exactly where g has none."""
-    n = g.n
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if v not in g.adjacency[u]
-    ]
-    return Graph(n, edges)
+    full = (1 << g.n) - 1
+    return Graph._from_rows(
+        tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.adjacency_masks()))
+    )
 
 
 def degree_sequence(g: Graph) -> DegreeSequence:
@@ -132,44 +149,39 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     if kept and not (0 <= kept[0] and kept[-1] < g.n):
         raise ValueError("vertex out of range")
     index = {v: i for i, v in enumerate(kept)}
-    edges = [
-        (index[u], index[v])
-        for u in kept
-        for v in g.adjacency[u]
-        if u < v and v in index
-    ]
-    return Graph(len(kept), edges)
+    rows = g.adjacency_masks()
+    return Graph._from_rows(
+        tuple(
+            sum(1 << index[v] for v in iter_bits(rows[u]) if v in index)
+            for u in kept
+        )
+    )
 
 
 def disjoint_union(parts: Sequence[Graph]) -> Graph:
     """Disjoint union; vertex blocks are offset cumulatively, no cross edges."""
-    n = sum(p.n for p in parts)
-    edges: list[tuple[int, int]] = []
-    offset = 0
+    rows: list[int] = []
     for p in parts:
-        edges.extend((u + offset, v + offset) for u, v in p.edges())
-        offset += p.n
-    return Graph(n, edges)
+        offset = len(rows)
+        rows.extend(row << offset for row in p.adjacency_masks())
+    return Graph._from_rows(tuple(rows))
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Maximal connected vertex sets, ordered by smallest member."""
-    seen = [False] * g.n
+    rows = g.adjacency_masks()
     components: list[frozenset[int]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        comp = [start]
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        components.append(frozenset(comp))
+    unseen = (1 << g.n) - 1
+    while unseen:
+        component = frontier = unseen & -unseen
+        while frontier:
+            reached = 0
+            for v in iter_bits(frontier):
+                reached |= rows[v]
+            frontier = reached & ~component
+            component |= frontier
+        unseen ^= component
+        components.append(frozenset(iter_bits(component)))
     return components
 
 
@@ -181,7 +193,7 @@ def empty_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return complement(Graph(n))
 
 
 def path_graph(n: int) -> Graph:
@@ -200,16 +212,12 @@ def complete_multipartite(sizes: Iterable[int]) -> Graph:
     sizes = [int(a) for a in sizes]
     if any(a < 1 for a in sizes):
         raise ValueError("part sizes must be positive")
-    bounds = []
-    start = 0
+    full = (1 << sum(sizes)) - 1
+    rows: list[int] = []
     for a in sizes:
-        bounds.append((start, start + a))
-        start += a
-    edges = []
-    for i, (s1, e1) in enumerate(bounds):
-        for s2, e2 in bounds[i + 1 :]:
-            edges.extend((u, v) for u in range(s1, e1) for v in range(s2, e2))
-    return Graph(start, edges)
+        block = ((1 << a) - 1) << len(rows)
+        rows.extend([full ^ block] * a)
+    return Graph._from_rows(tuple(rows))
 
 
 def clique_union(sizes: Iterable[int]) -> Graph:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import GraphTooLargeError
-from .graph import Graph, induced_subgraph
+from .graph import Graph, induced_subgraph, iter_bits
 
 MAX_CANONICAL_VERTICES = 12
 MAX_PATTERN_VERTICES = 6
@@ -29,13 +29,6 @@ def _ranks_by_descending_value(values: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(index[v] for v in values)
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _refine_ranks(
     n: int, masks: tuple[int, ...], ranks: tuple[int, ...]
 ) -> tuple[int, ...]:
@@ -43,7 +36,7 @@ def _refine_ranks(
     while True:
         sigs = []
         for v in range(n):
-            neigh = sorted(ranks[u] for u in _iter_bits(masks[v]))
+            neigh = sorted(ranks[u] for u in iter_bits(masks[v]))
             sigs.append((ranks[v], tuple(neigh)))
         order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new = tuple(order[sig] for sig in sigs)

@@ -136,8 +136,7 @@ def _enumerate_graphs(degrees: DegreeSequence):
         # vertices 0..r-1 placed; place vertex r.
         if r == n:
             if all(residual[v] == 0 for v in range(n)):
-                final = Graph(n, _mask_edges(n, masks))
-                yield final, compose_code(segs)
+                yield Graph._from_rows(tuple(masks)), compose_code(segs)
             return
         t = targets[r]
         future = n - r - 1
@@ -175,19 +174,6 @@ def _enumerate_graphs(degrees: DegreeSequence):
     # The one-vertex prefix is trivially canonical; start the search there.
     if feasible(1):
         yield from extend(1)
-
-
-def _mask_edges(n: int, masks: list[int]) -> list[tuple[int, int]]:
-    edges = []
-    for u in range(n):
-        mu = masks[u] >> (u + 1)
-        v = u + 1
-        while mu:
-            if mu & 1:
-                edges.append((u, v))
-            mu >>= 1
-            v += 1
-    return edges
 
 
 @dataclass(frozen=True)
@@ -242,8 +228,8 @@ def random_switch_walk(g: Graph, steps: int, seed: int) -> Graph:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     draw = random.Random(seed).random
-    edges = [tuple(e) for e in g.edges()]
-    adjacency = [set(neigh) for neigh in g.adjacency]
+    edges = g.edges()
+    rows = list(g.adjacency_masks())
     m = len(edges)
     for _ in range(steps):
         if m < 2:
@@ -260,18 +246,14 @@ def random_switch_walk(g: Graph, steps: int, seed: int) -> Graph:
             new1, new2 = (a, c), (b, d)
         else:
             new1, new2 = (a, d), (b, c)
-        if new1[1] in adjacency[new1[0]] or new2[1] in adjacency[new2[0]]:
+        if (rows[new1[0]] >> new1[1]) & 1 or (rows[new2[0]] >> new2[1]) & 1:
             continue
-        adjacency[a].discard(b)
-        adjacency[b].discard(a)
-        adjacency[c].discard(d)
-        adjacency[d].discard(c)
-        for u, v in (new1, new2):
-            adjacency[u].add(v)
-            adjacency[v].add(u)
+        for u, v in ((a, b), (c, d), new1, new2):
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
         edges[i] = tuple(sorted(new1))
         edges[j] = tuple(sorted(new2))
-    return Graph(g.n, edges)
+    return Graph._from_rows(tuple(rows))
 
 
 def four_copies(g: Graph) -> Graph:

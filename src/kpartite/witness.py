@@ -33,18 +33,25 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import CanonicalGraphError, OutsideFamilyError, ProofStateError
-from .exact import CLIQUE, INDEPENDENT_SET, WitnessCertificate
-from .graph import Graph, complement, connected_components, degree_sequence, induced_subgraph
+from .exact import CLIQUE, INDEPENDENT_SET, WitnessCertificate, _greedy_independent
+from .graph import (
+    Graph,
+    complement,
+    connected_components,
+    degree_sequence,
+    induced_subgraph,
+    iter_bits,
+)
 from .instrument import OpCounter
-from .recognition import is_clique_union
 from .sequences import CLIQUE_SIZES, PartitionProfile, clique_union_profile_from_degrees
 
 
 @dataclass(frozen=True)
 class ProofState:
-    """Working state of the constructive search on the stripped graph."""
+    """Working state of the constructive search on the stripped graph, given
+    by its bitmask rows."""
 
-    graph: Graph
+    rows: tuple[int, ...]
     profile: PartitionProfile
     min_part_count: int
     layers: tuple[tuple[int, ...], ...]
@@ -66,13 +73,14 @@ def _strip_with_maps(
     g: Graph, profile: PartitionProfile, counter: OpCounter | None = None
 ) -> tuple[Graph, PartitionProfile, list[int], list[frozenset[int]]]:
     parts = list(profile.parts)
+    degrees = g.degrees()
     kept: list[int] = []
     removed: list[frozenset[int]] = []
     for comp in connected_components(g):
         q = len(comp)
         if counter is not None:
             counter.bump(q)
-        if all(len(g.adjacency[v]) == q - 1 for v in comp):
+        if all(degrees[v] == q - 1 for v in comp):
             if q not in parts:
                 raise ProofStateError(
                     f"clique component of size {q} has no matching part in {parts}"
@@ -92,8 +100,8 @@ def _build_layers(
     """Split the vertices into layers matching the sorted part sizes: the
     layer for size a takes a vertices of degree a - 1, in index order."""
     by_degree: dict[int, list[int]] = {}
-    for v in range(g.n):
-        by_degree.setdefault(len(g.adjacency[v]), []).append(v)
+    for v, d in enumerate(g.degrees()):
+        by_degree.setdefault(d, []).append(v)
     layers: list[tuple[int, ...]] = []
     cursor: dict[int, int] = {}
     for a in profile.parts:
@@ -116,25 +124,13 @@ def initial_proof_state(g: Graph, profile: PartitionProfile) -> ProofState:
         raise ProofStateError("empty profile; graph was fully stripped")
     c = parts.count(parts[0])
     return ProofState(
-        graph=g,
+        rows=g.adjacency_masks(),
         profile=profile,
         min_part_count=c,
         layers=_build_layers(g, profile),
         independent=(),
         level=0,
     )
-
-
-def _greedy_independent(
-    g: Graph, vertices: list[int], counter: OpCounter | None = None
-) -> list[int]:
-    chosen: list[int] = []
-    for v in vertices:
-        if counter is not None:
-            counter.bump(len(chosen))
-        if all(u not in g.adjacency[v] for u in chosen):
-            chosen.append(v)
-    return chosen
 
 
 def base_independent_set(
@@ -146,11 +142,12 @@ def base_independent_set(
     it has exactly c members, one of them must have two non-adjacent
     neighbors, and the swap repair replaces it by that pair.
     """
-    g = state.graph
+    rows = state.rows
     c = state.min_part_count
-    core = sorted(v for layer in state.layers[:c] for v in layer)
-    core_set = set(core)
-    greedy = _greedy_independent(g, core, counter)
+    core = sum(1 << v for layer in state.layers[:c] for v in layer)
+    if counter is not None:
+        counter.bump(core.bit_count())
+    greedy = list(iter_bits(_greedy_independent(core, rows)))
     if len(greedy) < c:
         raise ProofStateError(
             "maximal independent set smaller than the minimum-part count"
@@ -158,12 +155,12 @@ def base_independent_set(
     if len(greedy) >= c + 1:
         return frozenset(greedy)
     for x in greedy:
-        neighborhood = sorted(g.adjacency[x] & core_set)
+        neighborhood = list(iter_bits(rows[x] & core))
         for i, y in enumerate(neighborhood):
             for z in neighborhood[i + 1 :]:
                 if counter is not None:
                     counter.bump()
-                if z not in g.adjacency[y]:
+                if not (rows[y] >> z) & 1:
                     result = set(greedy)
                     result.discard(x)
                     result.update((y, z))
@@ -177,30 +174,42 @@ def base_independent_set(
 def extend_independent_set(
     state: ProofState, counter: OpCounter | None = None
 ) -> ProofState:
-    """Bring the next layer into play and grow the independent set by one
-    vertex non-adjacent to all current members."""
-    g = state.graph
+    """Bring the next layer into play and grow the independent set by the
+    lowest-indexed vertex non-adjacent to all current members."""
+    return _extend(state, *_frontier(state), counter)[0]
+
+
+def _frontier(state: ProofState) -> tuple[int, int]:
+    """Masks of the members and their neighbors (``blocked``) and of the
+    vertices of the layers in play outside them (``free``)."""
+    blocked = 0
+    for u in state.independent:
+        blocked |= state.rows[u] | (1 << u)
+    in_play = state.layers[: state.min_part_count + state.level]
+    return blocked, sum(1 << v for layer in in_play for v in layer) & ~blocked
+
+
+def _extend(
+    state: ProofState, blocked: int, free: int, counter: OpCounter | None
+) -> tuple[ProofState, int, int]:
+    """One extension step on the masks of ``_frontier``, which it returns
+    updated: O(n / w) word operations instead of a rescan of the layers."""
     c = state.min_part_count
-    k = state.profile.k
-    if state.level >= k - c:
+    if state.level >= state.profile.k - c:
         raise ProofStateError("no further layers to extend into")
-    count = c + state.level + 1
-    members = set(state.independent)
-    candidates = sorted(
-        v for layer in state.layers[:count] for v in layer if v not in members
-    )
-    for v in candidates:
-        if counter is not None:
-            counter.bump(len(members))
-        if not (g.adjacency[v] & members):
-            return replace(
-                state,
-                independent=tuple(sorted(members | {v})),
-                level=state.level + 1,
-            )
-    raise ProofStateError(
-        "extension scan found no vertex; degree bookkeeping violated"
-    )
+    free |= sum(1 << v for v in state.layers[c + state.level]) & ~blocked
+    if counter is not None:
+        counter.bump()
+    if not free:
+        raise ProofStateError(
+            "extension scan found no vertex; degree bookkeeping violated"
+        )
+    low = free & -free
+    v = low.bit_length() - 1
+    blocked |= state.rows[v] | low
+    independent = tuple(sorted((*state.independent, v)))
+    state = replace(state, independent=independent, level=state.level + 1)
+    return state, blocked, free & ~blocked
 
 
 def witness_independent_set(
@@ -218,11 +227,11 @@ def witness_independent_set(
         raise OutsideFamilyError(
             "degree sequence does not match any disjoint clique union"
         )
-    if is_clique_union(g) is not None:
+    remainder, reduced, kept, removed = _strip_with_maps(g, profile, counter)
+    if not kept:  # every component is a clique
         raise CanonicalGraphError(
             "graph is the canonical clique union; no larger independent set exists"
         )
-    remainder, reduced, kept, removed = _strip_with_maps(g, profile, counter)
     state = initial_proof_state(remainder, reduced)
     base = base_independent_set(state, counter)
     k_reduced = reduced.k
@@ -230,8 +239,9 @@ def witness_independent_set(
     # fast-forwards the layer induction by its surplus.
     level = min(len(base) - state.min_part_count - 1, k_reduced - state.min_part_count)
     state = replace(state, independent=tuple(sorted(base)), level=level)
+    blocked, free = _frontier(state)
     while len(state.independent) < k_reduced + 1:
-        state = extend_independent_set(state, counter)
+        state, blocked, free = _extend(state, blocked, free, counter)
     chosen = {kept[v] for v in state.independent}
     chosen.update(min(comp) for comp in removed)
     certificate = WitnessCertificate(frozenset(chosen), INDEPENDENT_SET)

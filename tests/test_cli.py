@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -117,6 +118,33 @@ def test_realize_and_enumerate(capsys):
     assert "2 realizations" in err
 
 
+def test_format_flag_applies_to_stdout_and_enumerate_rejects_single_graph_formats(
+    tmp_path, capsys
+):
+    code, out, _ = run(capsys, "realize", "--degrees", "1,1", "--format", "edges")
+    assert code == 0 and out == "n=2\n0 1\n"
+    k4 = tmp_path / "k4.col"
+    k4.write_text("p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
+    # --format names the input and the output format.
+    code, out, _ = run(capsys, "reduce4", "--input", str(k4), "--format", "dimacs")
+    assert code == 0 and out.startswith("p edge 16 24\n")
+    code, out, _ = run(capsys, "realize", "--degrees", "1,1")
+    assert code == 0 and out == "A_\n"
+
+    edges, txt = tmp_path / "e.edges", tmp_path / "e.txt"
+    for argv in (
+        ["--format", "edges"],
+        ["--format", "dimacs"],
+        ["--out", str(edges)],
+        ["--out", str(txt)],
+    ):
+        code, out, err = run(capsys, "enumerate", "--degrees", "2,2,2,2,2,2", *argv)
+        assert code == 2 and out == "" and "graph6" in err
+    assert not edges.exists() and not txt.exists()
+    code, out, _ = run(capsys, "enumerate", "--degrees", "2,2,2,2,2,2", "--format", "graph6")
+    assert code == 0 and len(out.splitlines()) == 2
+
+
 def test_sample_and_reduce4(tmp_path, capsys):
     path = tmp_path / "k334.g6"
     save_graph(clique_union([3, 3, 4]), str(path))
@@ -170,13 +198,16 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_recognize_degrees_file(tmp_path, capsys):
+def test_recognize_degrees_file(tmp_path, capsys, monkeypatch):
     path = tmp_path / "degrees.txt"
     path.write_text("2 2 2 2 2 2 3 3 3 3\n")
     code, out, _ = run(capsys, "recognize", "--degrees-file", str(path))
     assert code == 0
     payload = json.loads(out)
     assert payload["clique_union_profile_from_degrees"] == [3, 3, 4]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+    code, stdin_out, _ = run(capsys, "recognize", "--degrees-file", "-")
+    assert code == 0 and stdin_out == out
 
     code, out, _ = run(capsys, "realize", "--degrees-file", str(path))
     assert code == 0

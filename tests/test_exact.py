@@ -99,7 +99,7 @@ def test_adding_edges_never_helps_alpha():
             (u, v)
             for u in range(n)
             for v in range(u + 1, n)
-            if v not in g.adjacency[u]
+            if not g.has_edge(u, v)
         ]
         if not non_edges:
             continue

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from kpartite import (
     FormatError,
     Graph,
+    clique_union,
+    complement,
     cycle_graph,
     decode_graph6,
     encode_graph6,
@@ -12,6 +14,7 @@ from kpartite import (
     load_graph,
     load_graphs,
     petersen_graph,
+    random_switch_walk,
     save_graph,
     save_graphs,
 )
@@ -53,6 +56,22 @@ def test_graph6_header_and_errors():
 def test_graph6_long_form():
     g = Graph(63, [(0, 62)])
     assert decode_graph6(encode_graph6(g)) == g
+
+
+def test_graph6_matches_networkx_at_1001_vertices_sparse_and_dense():
+    # 1001 vertices take the long-form header, and the body's last byte
+    # carries two padding bits.
+    sparse = random_switch_walk(clique_union([7] * 143), steps=6000, seed=5)
+    for g in (sparse, complement(sparse)):
+        nxg = nx.empty_graph(g.n)
+        nxg.add_edges_from(g.edges())
+        theirs = nx.to_graph6_bytes(nxg, header=False).decode().strip()
+        ours = encode_graph6(g)
+        assert ours[0] == "~" and ours == theirs
+        assert decode_graph6(theirs) == g
+        # Nonzero padding bits are ignored, not rejected.
+        padded = theirs[:-1] + chr(((ord(theirs[-1]) - 63) | 0b11) + 63)
+        assert padded != theirs and decode_graph6(padded) == g
 
 
 @given(graphs_strategy(max_n=9))

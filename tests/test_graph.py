@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -29,6 +30,14 @@ def test_construction_rejects_bad_edges():
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(-1)
+
+
+def test_numpy_integer_endpoints():
+    g = Graph(64, [(np.int64(0), np.int64(63)), (np.int32(1), np.uint8(2))])
+    assert g.m == 2 and g.has_edge(0, 63) and g.edges() == [(0, 63), (1, 2)]
+    assert all(type(row) is int for row in g.adjacency_masks())
+    with pytest.raises(TypeError):
+        Graph(3, [(0.0, 1.0)])
 
 
 def test_duplicate_edges_collapse():

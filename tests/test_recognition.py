@@ -23,13 +23,13 @@ def brute_force_is_multipartite(g):
     parts = connected_components(complement(g))
     for part in parts:
         for u, v in combinations(sorted(part), 2):
-            if v in g.adjacency[u]:
+            if g.has_edge(u, v):
                 return None
     for i, p1 in enumerate(parts):
         for p2 in parts[i + 1 :]:
             for u in p1:
                 for v in p2:
-                    if v not in g.adjacency[u]:
+                    if not g.has_edge(u, v):
                         return None
     return tuple(sorted(len(p) for p in parts))
 
@@ -38,7 +38,7 @@ def brute_force_is_clique_union(g):
     comps = connected_components(g)
     for comp in comps:
         for u, v in combinations(sorted(comp), 2):
-            if v not in g.adjacency[u]:
+            if not g.has_edge(u, v):
                 return None
     return tuple(sorted(len(c) for c in comps))
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,16 @@ from kpartite import (
     complement,
     complete_graph,
     cycle_graph,
+    degree_sequence,
     disjoint_union,
+    encode_graph6,
     enumerate_realizations,
     extend_independent_set,
     initial_proof_state,
     is_clique_union,
+    iter_profiles,
     max_independent_set,
+    multipartite_profile_from_degrees,
     path_graph,
     random_switch_walk,
     strip_clique_components,
@@ -138,8 +144,6 @@ def test_witness_clique_duals():
 
 
 def test_witness_sound_on_every_noncanonical_realization_up_to_8():
-    from kpartite import iter_profiles
-
     for profile in iter_profiles(8):
         k = profile.k
         for g in enumerate_realizations(profile.degree_sequence()):
@@ -171,4 +175,47 @@ def test_witness_on_large_random_family_members():
         cert = witness_independent_set(g, counter=counter)
         assert validate_certificate(g, cert)
         assert cert.size >= profile.k + 1
-        assert counter.count <= n**3
+        # Linear in counted steps; a step works on n-bit rows.
+        assert counter.count <= 2 * (n + g.m)
+
+
+def _switched_clique_union(n, seed):
+    """A seeded non-canonical clique-union-class member on n vertices."""
+    parts, total = [], 0
+    while total < n:
+        parts.append(min(n - total, 2 + (len(parts) * 5) % 7))
+        total += parts[-1]
+    canonical = clique_union(parts)
+    return random_switch_walk(canonical, steps=4 * canonical.m, seed=seed)
+
+
+def test_witness_certificates_match_recorded_digest():
+    # Both witnesses on every non-canonical realization up to 9 vertices and
+    # on three switched members with 200-500 vertices; the digest pins every
+    # certificate, so any change to one shows here.
+    corpus = [
+        g
+        for profile in iter_profiles(9)
+        for g in enumerate_realizations(profile.degree_sequence())
+        if is_clique_union(g) is None
+    ]
+    corpus += [_switched_clique_union(n, seed=n) for n in (200, 350, 500)]
+    digest = hashlib.sha256()
+    for g in corpus:
+        independent = witness_independent_set(g).sorted_vertices()
+        clique = witness_clique(complement(g)).sorted_vertices()
+        digest.update(f"{encode_graph6(g)} {independent} {clique}\n".encode())
+    assert len(corpus) == 510
+    assert digest.hexdigest() == (
+        "630a77d6caf96d2520d7d8a7fd8e8c5082b3575171080b074c83c5ed7d63b1ef"
+    )
+
+
+def test_witness_clique_on_dense_8000_vertex_member():
+    # A complete-multipartite-class member with 8000 vertices and about
+    # 32 million edges, built in memory.
+    g = complement(_switched_clique_union(8000, seed=1))
+    assert g.m > 31_000_000
+    cert = witness_clique(g)
+    assert cert.size >= multipartite_profile_from_degrees(degree_sequence(g)).k + 1
+    assert validate_certificate(g, cert)
