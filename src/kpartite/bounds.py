@@ -184,7 +184,7 @@ class BoundReport:
         return [cell(data[col]) for col in self.CSV_COLUMNS]
 
 
-def compare_bounds(g: Graph, with_exact: bool = False, cap: int = 64) -> BoundReport:
+def compare_bounds(g: Graph, with_exact: bool = False) -> BoundReport:
     """Evaluate every bound on ``g``; sharpened bounds are None outside their
     family, exact values are None unless requested."""
     degrees = degree_sequence(g)
@@ -199,8 +199,8 @@ def compare_bounds(g: Graph, with_exact: bool = False, cap: int = 64) -> BoundRe
         sharp_omega = None
     exact_alpha = exact_omega = None
     if with_exact:
-        exact_alpha = max_independent_set(g, cap=cap).size
-        exact_omega = max_clique(g, cap=cap).size
+        exact_alpha = max_independent_set(g).size
+        exact_omega = max_clique(g).size
     return BoundReport(
         graph_id=encode_graph6(g),
         n=n,

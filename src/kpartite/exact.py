@@ -147,11 +147,14 @@ def max_clique(g: Graph, cap: int = DEFAULT_SOLVER_CAP) -> WitnessCertificate:
     return WitnessCertificate(cert.vertices, CLIQUE)
 
 
-def brute_force_alpha(g: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> int:
-    """Independence number by checking all 2^n subsets (oracle; n <= cap)."""
+def brute_force_alpha(g: Graph) -> int:
+    """Independence number by checking all 2^n subsets (oracle; at most
+    ``DEFAULT_BRUTE_FORCE_CAP`` vertices)."""
     n = g.n
-    if n > cap:
-        raise GraphTooLargeError(f"graph has {g.n} vertices, brute-force cap is {cap}")
+    if n > DEFAULT_BRUTE_FORCE_CAP:
+        raise GraphTooLargeError(
+            f"graph has {g.n} vertices, brute-force cap is {DEFAULT_BRUTE_FORCE_CAP}"
+        )
     masks = g.adjacency_masks()
     independent = bytearray(1 << n)
     independent[0] = 1

@@ -62,10 +62,20 @@ def ascending_partitions(total: int, minimum: int = 1):
 
 def iter_profiles(max_n: int):
     """Every clique-size profile with total at most ``max_n``, in ascending
-    total order and lexicographic partition order within each total."""
-    for total in range(1, max_n + 1):
-        for parts in ascending_partitions(total):
-            yield PartitionProfile(parts)
+    total order and lexicographic partition order within each total.
+
+    Each profile's realizations are enumerated, so ``max_n`` above
+    ``ENUMERATION_CAP`` raises here, before the first profile is produced.
+    """
+    if max_n > ENUMERATION_CAP:
+        raise GraphTooLargeError(
+            f"verification is capped at total {ENUMERATION_CAP} vertices"
+        )
+    return (
+        PartitionProfile(parts)
+        for total in range(1, max_n + 1)
+        for parts in ascending_partitions(total)
+    )
 
 
 def check_profile(profile: PartitionProfile, with_reports: bool = True) -> CampaignResult:
@@ -120,13 +130,9 @@ def check_profile(profile: PartitionProfile, with_reports: bool = True) -> Campa
     )
 
 
-def verify_theorem(max_n: int, with_reports: bool = False) -> list[CampaignResult]:
+def verify_theorem(max_n: int) -> list[CampaignResult]:
     """Run :func:`check_profile` for every profile with total <= max_n."""
-    if max_n > ENUMERATION_CAP:
-        raise GraphTooLargeError(
-            f"verification is capped at total {ENUMERATION_CAP} vertices"
-        )
-    return [check_profile(p, with_reports=with_reports) for p in iter_profiles(max_n)]
+    return [check_profile(p, with_reports=False) for p in iter_profiles(max_n)]
 
 
 def find_sharp_example(

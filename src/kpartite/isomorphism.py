@@ -184,32 +184,21 @@ def labeling_is_canonical(
 
 
 @lru_cache(maxsize=8192)
-def _canonical_key_cached(g: Graph, colors: tuple[int, ...] | None) -> tuple[int, int]:
+def _canonical_key_cached(g: Graph) -> tuple[int, int]:
     n = g.n
     masks = g.adjacency_masks()
-    base = colors if colors is not None else g.degrees()
-    ranks = _ranks_by_descending_value(base)
-    ranks = _refine_ranks(n, masks, ranks)
+    ranks = _refine_ranks(n, masks, _ranks_by_descending_value(g.degrees()))
     best, _ = _search_min_segments(n, masks, ranks)
     return n, compose_code(best)
 
 
-def canonical_key(g: Graph, colors: tuple[int, ...] | None = None) -> tuple[int, int]:
-    """Canonical form of ``g`` as ``(n, code)``; equal keys iff isomorphic.
-
-    With ``colors`` the key canonicalizes over color-preserving orderings
-    only (colors compare by value), so keys are comparable within one color
-    convention.
-    """
+def canonical_key(g: Graph) -> tuple[int, int]:
+    """Canonical form of ``g`` as ``(n, code)``; equal keys iff isomorphic."""
     if g.n > MAX_CANONICAL_VERTICES:
         raise GraphTooLargeError(
             f"canonical labeling supports at most {MAX_CANONICAL_VERTICES} vertices"
         )
-    if colors is not None:
-        colors = tuple(colors)
-        if len(colors) != g.n:
-            raise ValueError("need one color per vertex")
-    return _canonical_key_cached(g, colors)
+    return _canonical_key_cached(g)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

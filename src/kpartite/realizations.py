@@ -86,14 +86,12 @@ class RealizationStream:
         return graph
 
 
-def enumerate_realizations(
-    degrees: DegreeSequence, cap: int = ENUMERATION_CAP
-) -> RealizationStream:
+def enumerate_realizations(degrees: DegreeSequence) -> RealizationStream:
     """Stream every simple graph with the given degree sequence, exactly one
     representative per isomorphism class."""
-    if degrees.n > cap:
+    if degrees.n > ENUMERATION_CAP:
         raise GraphTooLargeError(
-            f"enumeration supports at most {cap} vertices, got {degrees.n}"
+            f"enumeration supports at most {ENUMERATION_CAP} vertices, got {degrees.n}"
         )
     if not is_graphical(degrees):
         raise NonGraphicalError(f"{degrees!r} is not graphical")

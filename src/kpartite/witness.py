@@ -34,15 +34,9 @@ from dataclasses import dataclass, replace
 
 from .errors import CanonicalGraphError, OutsideFamilyError, ProofStateError
 from .exact import CLIQUE, INDEPENDENT_SET, WitnessCertificate, _greedy_independent
-from .graph import (
-    Graph,
-    complement,
-    connected_components,
-    degree_sequence,
-    induced_subgraph,
-    iter_bits,
-)
+from .graph import Graph, complement, degree_sequence, induced_subgraph, iter_bits
 from .instrument import OpCounter
+from .recognition import clique_classes
 from .sequences import CLIQUE_SIZES, PartitionProfile, clique_union_profile_from_degrees
 
 
@@ -71,25 +65,20 @@ def strip_clique_components(
 
 def _strip_with_maps(
     g: Graph, profile: PartitionProfile, counter: OpCounter | None = None
-) -> tuple[Graph, PartitionProfile, list[int], list[frozenset[int]]]:
+) -> tuple[Graph, PartitionProfile, list[int], list[int]]:
     parts = list(profile.parts)
-    degrees = g.degrees()
-    kept: list[int] = []
-    removed: list[frozenset[int]] = []
-    for comp in connected_components(g):
-        q = len(comp)
-        if counter is not None:
-            counter.bump(q)
-        if all(degrees[v] == q - 1 for v in comp):
-            if q not in parts:
-                raise ProofStateError(
-                    f"clique component of size {q} has no matching part in {parts}"
-                )
-            parts.remove(q)
-            removed.append(comp)
-        else:
-            kept.extend(comp)
-    kept.sort()
+    closed = (row | 1 << v for v, row in enumerate(g.adjacency_masks()))
+    removed = clique_classes(closed, counter)
+    covered = 0
+    for clique in removed:
+        q = clique.bit_count()
+        if q not in parts:
+            raise ProofStateError(
+                f"clique component of size {q} has no matching part in {parts}"
+            )
+        parts.remove(q)
+        covered |= clique
+    kept = list(iter_bits(((1 << g.n) - 1) ^ covered))
     remainder = induced_subgraph(g, kept)
     return remainder, PartitionProfile(tuple(parts), CLIQUE_SIZES), kept, removed
 
@@ -243,7 +232,7 @@ def witness_independent_set(
     while len(state.independent) < k_reduced + 1:
         state, blocked, free = _extend(state, blocked, free, counter)
     chosen = {kept[v] for v in state.independent}
-    chosen.update(min(comp) for comp in removed)
+    chosen.update((clique & -clique).bit_length() - 1 for clique in removed)
     certificate = WitnessCertificate(frozenset(chosen), INDEPENDENT_SET)
     if certificate.size < profile.k + 1:
         raise ProofStateError("constructed witness smaller than required")

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from kpartite import (
     DegreeSequence,
     Graph,
+    clique_union,
+    complement,
     enumerate_realizations,
     is_graphical,
+    random_switch_walk,
 )
 
 
@@ -51,6 +54,27 @@ def small_graph_corpus() -> list[Graph]:
     graphs = []
     for n in range(0, 7):
         graphs.extend(all_graphs_up_to_iso(n))
+    return graphs
+
+
+@pytest.fixture(scope="session")
+def family_neighbour_corpus() -> list[Graph]:
+    """Seeded clique unions with 50-300 vertices, 2-switch neighbours of each
+    (after one switch proposal and after n / 10), and the complements of all
+    of these: complete multipartite graphs and their 2-switch neighbours."""
+    rng = np.random.Generator(np.random.PCG64(4))
+    graphs = []
+    for n in (50, 120, 200, 300):
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(int(rng.integers(1, 13)))
+        member = clique_union(sizes)
+        for g in (
+            member,
+            random_switch_walk(member, steps=1, seed=n),
+            random_switch_walk(member, steps=n // 10, seed=n),
+        ):
+            graphs.extend((g, complement(g)))
     return graphs
 
 

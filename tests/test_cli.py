@@ -175,6 +175,9 @@ def test_verify_theorem_cli(capsys):
     assert code == 0
     assert "0 violations" in out
     assert "holds=True" in out
+    # The cap is checked before the first profile is enumerated.
+    code, out, err = run(capsys, "verify-theorem", "--max-n", "11")
+    assert code == 2 and out == "" and "capped at total 10" in err
 
 
 def test_find_sharp_cli(capsys):

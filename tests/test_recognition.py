@@ -2,6 +2,7 @@ from itertools import combinations
 
 from kpartite import (
     OpCounter,
+    PartitionProfile,
     clique_union,
     clique_union_profile_from_degrees,
     complement,
@@ -10,10 +11,12 @@ from kpartite import (
     cycle_graph,
     degree_sequence,
     empty_graph,
+    induced_subgraph,
     is_clique_union,
     is_complete_multipartite,
     multipartite_profile_from_degrees,
     path_graph,
+    strip_clique_components,
 )
 
 
@@ -34,12 +37,18 @@ def brute_force_is_multipartite(g):
     return tuple(sorted(len(p) for p in parts))
 
 
+def brute_force_clique_components(g):
+    return [
+        comp
+        for comp in connected_components(g)
+        if all(g.has_edge(u, v) for u, v in combinations(sorted(comp), 2))
+    ]
+
+
 def brute_force_is_clique_union(g):
     comps = connected_components(g)
-    for comp in comps:
-        for u, v in combinations(sorted(comp), 2):
-            if not g.has_edge(u, v):
-                return None
+    if len(brute_force_clique_components(g)) != len(comps):
+        return None
     return tuple(sorted(len(c) for c in comps))
 
 
@@ -58,8 +67,10 @@ def test_empty_graph_gives_empty_profiles():
     assert is_clique_union(g).parts == ()
 
 
-def test_exhaustive_agreement_small(small_graph_corpus):
-    for g in small_graph_corpus:
+def test_exhaustive_agreement_small(small_graph_corpus, family_neighbour_corpus):
+    """Every graph up to 6 vertices, plus members of both families with up to
+    300 vertices, their 2-switch neighbours and complements."""
+    for g in small_graph_corpus + family_neighbour_corpus:
         expected_mp = brute_force_is_multipartite(g)
         got_mp = is_complete_multipartite(g)
         assert (got_mp.parts if got_mp else None) == expected_mp
@@ -68,9 +79,17 @@ def test_exhaustive_agreement_small(small_graph_corpus):
         got_cu = is_clique_union(g)
         assert (got_cu.parts if got_cu else None) == expected_cu
 
+        comps = connected_components(g)
+        cliques = brute_force_clique_components(g)
+        profile = PartitionProfile(tuple(len(c) for c in comps))
+        remainder, reduced = strip_clique_components(g, profile)
+        kept = sorted(set(range(g.n)).difference(*cliques))
+        assert remainder == induced_subgraph(g, kept)
+        assert reduced.parts == tuple(sorted(len(c) for c in comps if c not in cliques))
 
-def test_exhaustive_duality_small(small_graph_corpus):
-    for g in small_graph_corpus:
+
+def test_exhaustive_duality_small(small_graph_corpus, family_neighbour_corpus):
+    for g in small_graph_corpus + family_neighbour_corpus:
         assert (is_complete_multipartite(g) is not None) == (
             is_clique_union(complement(g)) is not None
         )
