@@ -111,6 +111,13 @@ def decode_graph6(line: str) -> Graph:
     )
 
 
+def _header_vertex_count(n: int) -> int:
+    """Refuse header vertex counts above graph6's limit before building rows."""
+    if not 0 <= n <= _G6_MAX_LONG:
+        raise FormatError(f"vertex count must be in 0..{_G6_MAX_LONG}, got {n}")
+    return n
+
+
 def encode_edge_list(g: Graph) -> str:
     lines = [f"n={g.n}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
@@ -127,11 +134,9 @@ def decode_edge_list(text: str) -> Graph:
             continue
         if line.startswith("n="):
             try:
-                header_n = int(line[2:])
+                header_n = _header_vertex_count(int(line[2:]))
             except ValueError as exc:
                 raise FormatError(f"bad vertex-count header: {raw!r}") from exc
-            if header_n < 0:
-                raise FormatError("vertex count must be non-negative")
             continue
         tokens = line.split()
         if len(tokens) != 2:
@@ -181,7 +186,7 @@ def decode_dimacs(text: str) -> Graph:
             tokens = line.split()
             if len(tokens) != 4 or tokens[1].lower() != "edge":
                 raise FormatError(f"bad problem line: {raw!r}")
-            n, declared_m = int(tokens[2]), int(tokens[3])
+            n, declared_m = _header_vertex_count(int(tokens[2])), int(tokens[3])
             continue
         if line.startswith("e"):
             if n is None:

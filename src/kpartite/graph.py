@@ -3,10 +3,11 @@
 A graph is stored as one integer bitmask row per vertex: bit v of row u is
 set exactly when uv is an edge.  Neighbor sets, degrees and edge lists are
 read off the rows, and the constructors here (complement, induced subgraphs,
-disjoint unions, the named families) build rows directly.  Vertex sets are
-plain ``frozenset[int]`` throughout the package.  All operations are pure
-functions of immutable values, so graphs can be shared freely across threads
-or processes.
+disjoint unions, the named families) build rows directly.  Public functions
+take and return vertex sets as plain ``frozenset[int]``; inside the package a
+vertex subset is a mask over the host's own rows, never a relabelled copy of
+the graph.  All operations are pure functions of immutable values, so graphs
+can be shared freely across threads or processes.
 """
 
 from __future__ import annotations

@@ -17,8 +17,5 @@ class OpCounter:
     def bump(self, k: int = 1) -> None:
         self.count += k
 
-    def reset(self) -> None:
-        self.count = 0
-
     def __repr__(self) -> str:
         return f"OpCounter(count={self.count})"

@@ -25,6 +25,7 @@ k + 1 in polynomial time:
    dominate the strictly larger next layer; an index-ascending scan finds a
    vertex non-adjacent to all members.
 
+Steps 2-4 run on the input's own rows, limited to the vertices the strip keeps.
 Each step is deterministic, so certificates are reproducible.
 """
 
@@ -42,8 +43,8 @@ from .sequences import CLIQUE_SIZES, PartitionProfile, clique_union_profile_from
 
 @dataclass(frozen=True)
 class ProofState:
-    """Working state of the constructive search on the stripped graph, given
-    by its bitmask rows."""
+    """Working state of the constructive search: the host's bitmask rows, in
+    which only the vertices of ``layers`` are in play."""
 
     rows: tuple[int, ...]
     profile: PartitionProfile
@@ -59,13 +60,15 @@ def strip_clique_components(
     """Remove every connected component that is a complete graph; drop one
     matching part per removal.  The remainder is degree-equivalent to the
     reduced profile and has no clique components."""
-    remainder, reduced, _, _ = _strip_with_maps(g, profile)
-    return remainder, reduced
+    kept, reduced, _ = _strip(g, profile)
+    return induced_subgraph(g, iter_bits(kept)), reduced
 
 
-def _strip_with_maps(
+def _strip(
     g: Graph, profile: PartitionProfile, counter: OpCounter | None = None
-) -> tuple[Graph, PartitionProfile, list[int], list[int]]:
+) -> tuple[int, PartitionProfile, list[int]]:
+    """The mask of the vertices outside clique components, the reduced
+    profile and the masks of the clique components."""
     parts = list(profile.parts)
     closed = (row | 1 << v for v, row in enumerate(g.adjacency_masks()))
     removed = clique_classes(closed, counter)
@@ -78,22 +81,30 @@ def _strip_with_maps(
             )
         parts.remove(q)
         covered |= clique
-    kept = list(iter_bits(((1 << g.n) - 1) ^ covered))
-    remainder = induced_subgraph(g, kept)
-    return remainder, PartitionProfile(tuple(parts), CLIQUE_SIZES), kept, removed
+    kept = ((1 << g.n) - 1) ^ covered
+    return kept, PartitionProfile(tuple(parts), CLIQUE_SIZES), removed
 
 
-def _build_layers(
-    g: Graph, profile: PartitionProfile
-) -> tuple[tuple[int, ...], ...]:
-    """Split the vertices into layers matching the sorted part sizes: the
-    layer for size a takes a vertices of degree a - 1, in index order."""
+def initial_proof_state(g: Graph, profile: PartitionProfile) -> ProofState:
+    """State for a stripped graph: layers assigned, no vertices chosen yet."""
+    return _proof_state(g.adjacency_masks(), (1 << g.n) - 1, profile)
+
+
+def _proof_state(
+    rows: tuple[int, ...], kept: int, profile: PartitionProfile
+) -> ProofState:
+    """State on the host's ``rows``.  The layers split ``kept`` (components,
+    none a clique) by the sorted part sizes: the layer for size a takes a
+    vertices of degree a - 1, in index order."""
+    parts = profile.parts
+    if not parts:
+        raise ProofStateError("empty profile; graph was fully stripped")
     by_degree: dict[int, list[int]] = {}
-    for v, d in enumerate(g.degrees()):
-        by_degree.setdefault(d, []).append(v)
+    for v in iter_bits(kept):
+        by_degree.setdefault(rows[v].bit_count(), []).append(v)
     layers: list[tuple[int, ...]] = []
     cursor: dict[int, int] = {}
-    for a in profile.parts:
+    for a in parts:
         bucket = by_degree.get(a - 1, [])
         start = cursor.get(a, 0)
         chunk = bucket[start : start + a]
@@ -103,20 +114,11 @@ def _build_layers(
             )
         cursor[a] = start + a
         layers.append(tuple(chunk))
-    return tuple(layers)
-
-
-def initial_proof_state(g: Graph, profile: PartitionProfile) -> ProofState:
-    """State for a stripped graph: layers assigned, no vertices chosen yet."""
-    parts = profile.parts
-    if not parts:
-        raise ProofStateError("empty profile; graph was fully stripped")
-    c = parts.count(parts[0])
     return ProofState(
-        rows=g.adjacency_masks(),
+        rows=rows,
         profile=profile,
-        min_part_count=c,
-        layers=_build_layers(g, profile),
+        min_part_count=parts.count(parts[0]),
+        layers=tuple(layers),
         independent=(),
         level=0,
     )
@@ -136,24 +138,23 @@ def base_independent_set(
     core = sum(1 << v for layer in state.layers[:c] for v in layer)
     if counter is not None:
         counter.bump(core.bit_count())
-    greedy = list(iter_bits(_greedy_independent(core, rows)))
-    if len(greedy) < c:
+    greedy = _greedy_independent(core, rows)
+    if greedy.bit_count() < c:
         raise ProofStateError(
             "maximal independent set smaller than the minimum-part count"
         )
-    if len(greedy) >= c + 1:
-        return frozenset(greedy)
-    for x in greedy:
-        neighborhood = list(iter_bits(rows[x] & core))
-        for i, y in enumerate(neighborhood):
-            for z in neighborhood[i + 1 :]:
-                if counter is not None:
-                    counter.bump()
-                if not (rows[y] >> z) & 1:
-                    result = set(greedy)
-                    result.discard(x)
-                    result.update((y, z))
-                    return frozenset(result)
+    if greedy.bit_count() > c:
+        return frozenset(iter_bits(greedy))
+    for x in iter_bits(greedy):
+        neighborhood = rows[x] & core
+        # The lowest neighbour y with a non-adjacent partner, and its lowest
+        # such partner z, are the first non-adjacent pair in ascending order.
+        for y in iter_bits(neighborhood):
+            if counter is not None:
+                counter.bump()
+            apart = neighborhood & ~(rows[y] | 1 << y)
+            if apart:
+                return frozenset(iter_bits((greedy ^ 1 << x) | 1 << y | apart & -apart))
     raise ProofStateError(
         "all chosen neighborhoods are cliques; the stripped graph would "
         "contain a clique component"
@@ -216,12 +217,12 @@ def witness_independent_set(
         raise OutsideFamilyError(
             "degree sequence does not match any disjoint clique union"
         )
-    remainder, reduced, kept, removed = _strip_with_maps(g, profile, counter)
+    kept, reduced, removed = _strip(g, profile, counter)
     if not kept:  # every component is a clique
         raise CanonicalGraphError(
             "graph is the canonical clique union; no larger independent set exists"
         )
-    state = initial_proof_state(remainder, reduced)
+    state = _proof_state(g.adjacency_masks(), kept, reduced)
     base = base_independent_set(state, counter)
     k_reduced = reduced.k
     # A base set larger than c + 1 has all members in the minimum layers and
@@ -231,7 +232,7 @@ def witness_independent_set(
     blocked, free = _frontier(state)
     while len(state.independent) < k_reduced + 1:
         state, blocked, free = _extend(state, blocked, free, counter)
-    chosen = {kept[v] for v in state.independent}
+    chosen = set(state.independent)
     chosen.update((clique & -clique).bit_length() - 1 for clique in removed)
     certificate = WitnessCertificate(frozenset(chosen), INDEPENDENT_SET)
     if certificate.size < profile.k + 1:

@@ -199,6 +199,10 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "realize", "--degrees", "1,1,1")
     assert code == 2
+    for name, text in (("big.edges", "n=258048\n0 1\n"), ("big.col", "p edge 258048 1\n")):
+        (tmp_path / name).write_text(text)
+        code, _, err = run(capsys, "recognize", "--input", str(tmp_path / name))
+        assert code == 2 and "258047" in err
 
 
 def test_recognize_degrees_file(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,15 +14,23 @@ from kpartite import (
     complement,
     complete_graph,
     complete_multipartite,
+    connected_components,
     cycle_graph,
+    disjoint_union,
     empty_graph,
+    encode_graph6,
     max_clique,
     max_independent_set,
     petersen_graph,
     validate_certificate,
 )
 
-from .conftest import graphs_strategy, random_graph, random_graph_corpus
+from .conftest import (
+    all_graphs_up_to_iso,
+    graphs_strategy,
+    random_graph,
+    random_graph_corpus,
+)
 
 
 def test_alpha_examples():
@@ -120,3 +130,28 @@ def test_disconnected_graphs():
     assert max_independent_set(g).size == 4
     cert = max_independent_set(g)
     assert validate_certificate(g, cert)
+
+
+def test_solver_certificates_match_recorded_digest():
+    # Both solvers on every graph with up to 8 vertices and on seeded G(n, p)
+    # graphs with 20-64 vertices, five of them disconnected; the digest pins
+    # every certificate, tie-breaks included, so any change to one shows here.
+    corpus = [g for n in range(9) for g in all_graphs_up_to_iso(n)]
+    rng = np.random.Generator(np.random.PCG64(20))
+    for n, p in (
+        (20, 0.1), (24, 0.5), (30, 0.05), (36, 0.15), (40, 0.3),
+        (48, 0.08), (56, 0.6), (64, 0.04), (64, 0.1), (64, 0.3),
+    ):
+        corpus.append(random_graph(n, p, rng))
+    parts = [random_graph(20, 0.2, rng), random_graph(24, 0.4, rng), random_graph(10, 0.5, rng)]
+    corpus.append(disjoint_union(parts))
+    assert len(corpus) == 13599 + 11
+    assert sum(len(connected_components(g)) > 1 for g in corpus[-11:]) == 5
+    digest = hashlib.sha256()
+    for g in corpus:
+        alpha = max_independent_set(g).sorted_vertices()
+        omega = max_clique(g).sorted_vertices()
+        digest.update(f"{encode_graph6(g)} {alpha} {omega}\n".encode())
+    assert digest.hexdigest() == (
+        "6eed2b6e2ab844bc7b7ad42205edf9abeab49d884d4ecdac89ef26e46684ad6b"
+    )

@@ -92,6 +92,12 @@ def test_edge_list_header_and_labels():
         decode_edge_list("0 0\n")
     with pytest.raises(FormatError):
         decode_edge_list("0 1 2\n")
+    # Header counts stop at the graph6 limit and are checked before any row
+    # is built, so a 13-byte file cannot ask for a billion rows.
+    assert decode_edge_list("n=258047\n").n == 258047
+    for text in ("n=258048\n0 1\n", "n=1000000000\n", "n=-1\n"):
+        with pytest.raises(FormatError):
+            decode_edge_list(text)
 
 
 @given(graphs_strategy(max_n=9))
@@ -110,6 +116,10 @@ def test_dimacs_parsing():
         decode_dimacs("p edge 2 5\ne 1 2\n")
     with pytest.raises(FormatError):
         decode_dimacs("p edge 2 1\ne 1 5\n")
+    assert decode_dimacs("p edge 258047 0\n").n == 258047
+    for text in ("p edge 258048 1\ne 1 2\n", "p edge 1000000000 0\n", "p edge -1 0\n"):
+        with pytest.raises(FormatError):
+            decode_dimacs(text)
 
 
 def test_file_io_and_format_inference(tmp_path):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -14,12 +16,15 @@ from kpartite import (
     contains_induced,
     cycle_graph,
     empty_graph,
+    induced_subgraph,
     is_isomorphic,
+    max_clique,
+    max_independent_set,
     path_graph,
     petersen_graph,
 )
 
-from .conftest import graphs_strategy
+from .conftest import graphs_strategy, random_graph
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -115,7 +120,48 @@ def test_induced_subgraph_patterns_found(g):
         return
     rng = np.random.Generator(np.random.PCG64(g.n * 31 + g.m))
     subset = sorted(rng.choice(g.n, size=4, replace=False).tolist())
-    from kpartite import induced_subgraph
-
     pattern = induced_subgraph(g, subset)
     assert contains_induced(g, pattern)
+
+
+def brute_force_contains_induced(g: Graph, pattern: Graph) -> bool:
+    """Oracle: some p-subset of ``g`` induces a graph isomorphic to ``pattern``."""
+    return any(
+        is_isomorphic(induced_subgraph(g, subset), pattern)
+        for subset in combinations(range(g.n), pattern.n)
+    )
+
+
+def test_contains_induced_matches_subset_oracle():
+    # Seeded hosts with 0-9 vertices and patterns with 0-5 vertices, checked
+    # against every p-subset of the host.
+    rng = np.random.Generator(np.random.PCG64(26))
+    outcomes = []
+    for _ in range(80):
+        host = random_graph(int(rng.integers(0, 10)), float(rng.uniform(0.1, 0.9)), rng)
+        for _ in range(4):
+            p = int(rng.integers(0, 6))
+            pattern = random_graph(p, float(rng.uniform(0.1, 0.9)), rng)
+            expected = brute_force_contains_induced(host, pattern)
+            assert contains_induced(host, pattern) == expected, (host.edges(), pattern.edges())
+            outcomes.append(expected)
+    assert outcomes.count(True) >= 80 and outcomes.count(False) >= 80
+
+
+def test_contains_induced_on_a_48_vertex_host():
+    # C(48, 6) is about 12 million 6-subsets; the backtracking search only
+    # extends partial maps that already induce the pattern's first vertices.
+    rng = np.random.Generator(np.random.PCG64(48))
+    host = random_graph(48, 0.3, rng)
+    omega, alpha = max_clique(host).size, max_independent_set(host).size
+    assert (omega, alpha) == (5, 11)
+    assert contains_induced(host, complete_graph(5))
+    assert not contains_induced(host, complete_graph(6))
+    assert contains_induced(host, empty_graph(6))
+    assert contains_induced(host, cycle_graph(6))
+    assert contains_induced(host, path_graph(6))
+    # A complete multipartite graph has no induced K1 + K2, so no induced P6.
+    parts = complete_multipartite([4, 5, 6, 7, 8, 9, 9])
+    assert parts.n == 48
+    assert not contains_induced(parts, path_graph(6))
+    assert contains_induced(parts, complete_multipartite([1, 2, 3]))

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import networkx as nx
@@ -12,6 +13,7 @@ from kpartite import (
     is_graphical,
     clique_union,
     clique_union_profile_from_degrees,
+    complement,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -175,6 +177,29 @@ def test_two_switch_validation():
         two_switch(c6, SwitchStep(removed=((0, 2), (3, 4)), added=((0, 4), (2, 3))))
     with pytest.raises(ValueError):
         two_switch(c6, SwitchStep(removed=((0, 1), (3, 4)), added=((0, 3), (1, 2))))
+
+
+def test_two_switch_matches_edited_edge_list():
+    # Seeded valid steps on sparse and dense family members: XOR-ing the four
+    # edges into the rows gives the graph rebuilt from the edited edge list.
+    rnd = random.Random(8)
+    applied = 0
+    for sizes in ([3, 3, 4], [2, 5, 5, 7], [1, 4, 6, 6, 9]):
+        member = random_switch_walk(clique_union(sizes), steps=20, seed=len(sizes))
+        for g in (member, complement(member)):
+            for _ in range(40):
+                (a, b), (c, d) = rnd.sample(g.edges(), 2)
+                added = ((a, c), (b, d)) if rnd.random() < 0.5 else ((a, d), (b, c))
+                if len({a, b, c, d}) != 4 or any(g.has_edge(*e) for e in added):
+                    continue
+                step = SwitchStep(removed=((a, b), (c, d)), added=added)
+                edges = [e for e in g.edges() if e not in step.removed]
+                switched = two_switch(g, step)
+                assert switched == Graph(g.n, edges + list(added))
+                assert degree_sequence(switched) == degree_sequence(g)
+                g = switched
+                applied += 1
+    assert applied >= 60
 
 
 def test_random_walk_is_seed_deterministic():
