@@ -77,7 +77,6 @@ from .harness import (
 from .instrument import OpCounter
 from .isomorphism import canonical_key, contains_induced, is_isomorphic
 from .realizations import (
-    RealizationStream,
     SwitchStep,
     enumerate_realizations,
     four_copies,

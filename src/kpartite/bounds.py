@@ -180,7 +180,6 @@ class BoundReport:
             return repr(value) if isinstance(value, float) else str(value)
 
         data = self.to_json_dict()
-        data["edwards_elphick"] = self.edwards_elphick
         return [cell(data[col]) for col in self.CSV_COLUMNS]
 
 

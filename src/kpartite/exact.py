@@ -86,8 +86,7 @@ def _greedy_independent(cand: int, masks: tuple[int, ...]) -> int:
 def _mis_component(cand: int, masks: tuple[int, ...]) -> int:
     """Maximum independent set of the component ``cand`` (a vertex mask over
     the graph's bitmask rows ``masks``); returns the set as a bitmask.
-    Deterministic: first optimum found, improved only by size or (on equal
-    size at a completed leaf) by lexicographic vertex order."""
+    Deterministic: the first largest set found in branch order."""
     seed = _greedy_independent(cand, masks)
     best_mask = seed
     best_size = seed.bit_count()
@@ -95,10 +94,15 @@ def _mis_component(cand: int, masks: tuple[int, ...]) -> int:
     def solve(cand: int, cur_mask: int, cur_size: int) -> None:
         nonlocal best_mask, best_size
         if cand == 0:
-            # Of two equal-size sets, the one holding the lowest vertex of
-            # their symmetric difference comes first in lexicographic order.
-            diff = cur_mask ^ best_mask
-            if cur_size > best_size or (cur_size == best_size and diff & -diff & cur_mask):
+            # Equal-size leaves need no tie rule: none can decide the result.
+            # An exclude-leaf follows a one-vertex candidate set, whose
+            # include-leaf came first and is one larger.  An include-leaf
+            # that ties had a parent past the clique-cover prune, so that
+            # candidate set is no clique, yet the branch vertex (of maximum
+            # degree) is adjacent to all of it.  Two non-adjacent candidates
+            # then beat the tie by one, and the exclude branch finds a set
+            # that large before the search ends.
+            if cur_size > best_size:
                 best_mask, best_size = cur_mask, cur_size
             return
         if cur_size + cand.bit_count() <= best_size:

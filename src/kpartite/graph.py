@@ -39,7 +39,7 @@ class Graph:
     rejected, duplicate edges collapse.
     """
 
-    __slots__ = ("n", "_rows", "_m", "_hash")
+    __slots__ = ("n", "_rows", "_m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         n = int(n)
@@ -68,7 +68,6 @@ class Graph:
         self.n = len(rows)
         self._rows = rows
         self._m = sum(r.bit_count() for r in rows) // 2
-        self._hash: int | None = None
 
     @classmethod
     def from_adjacency(cls, adjacency: Sequence[Iterable[int]]) -> "Graph":
@@ -123,9 +122,7 @@ class Graph:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._rows)
-        return self._hash
+        return hash(self._rows)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self._m})"

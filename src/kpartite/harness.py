@@ -10,7 +10,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .bounds import BoundReport, compare_bounds
@@ -36,7 +35,6 @@ class CampaignResult:
     min_alpha_noncanonical: int | None
     theorem_holds: bool
     reports: tuple[BoundReport, ...]
-    wall_time: float
 
     def summary_line(self) -> str:
         parts = ",".join(str(a) for a in self.profile.parts)
@@ -82,7 +80,6 @@ def check_profile(profile: PartitionProfile, with_reports: bool = True) -> Campa
     """Enumerate all realizations of the profile's clique-union degree
     sequence and test the characterization on each.  With reports, alpha is
     read from each realization's exact bound report instead of solved again."""
-    start = time.perf_counter()
     target = profile.degree_sequence()
     k = profile.k
     count = 0
@@ -126,7 +123,6 @@ def check_profile(profile: PartitionProfile, with_reports: bool = True) -> Campa
         min_alpha_noncanonical=min_alpha,
         theorem_holds=holds,
         reports=tuple(reports),
-        wall_time=time.perf_counter() - start,
     )
 
 

@@ -3,16 +3,23 @@
 The canonical key of a graph is the lexicographically smallest upper-triangle
 bit string of its adjacency matrix, read column by column, minimized over all
 vertex orderings that respect the degree partition (iteratively refined by
-neighbor-degree signatures).  The search backtracks with prefix pruning and
-explores only one representative per class of interchangeable (twin)
-vertices, which keeps highly symmetric graphs cheap.
+neighbor-degree signatures).
+
+One search serves both uses: given an incumbent ordering's column segments,
+a depth-first search returns the first ordering with a smaller code, or
+None.  It tries candidates in ascending column order, cuts any prefix that
+rises above the incumbent, and places only one vertex of each class of
+interchangeable (twin) vertices, which keeps highly symmetric graphs cheap.
+The orderly enumerator accepts a labeling when nothing beats it;
+``canonical_key`` starts from the rank-sorted ordering and replaces the
+incumbent until nothing is smaller, which reaches the unique minimum code.
 
 Intended for small graphs; hard cap of 12 vertices.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import Counter
 
 from .errors import GraphTooLargeError
 from .graph import Graph, iter_bits
@@ -44,123 +51,65 @@ def _refine_ranks(
         ranks = new
 
 
-def _twin_classes(n: int, masks: tuple[int, ...]) -> list[int]:
-    """Class id per vertex; two vertices share a class when swapping them is a
-    graph automorphism (equal open or closed neighborhoods, transitively)."""
-    parent = list(range(n))
+def _twin_classes(masks: tuple[int, ...]) -> list[int]:
+    """Class key per vertex; two vertices share a key exactly when they have
+    equal open or equal closed neighborhoods, so swapping them is a graph
+    automorphism.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    open_groups: dict[int, int] = {}
-    closed_groups: dict[int, int] = {}
-    for v in range(n):
-        key = masks[v]
-        if key in open_groups:
-            union(open_groups[key], v)
-        else:
-            open_groups[key] = v
-        ckey = masks[v] | (1 << v)
-        if ckey in closed_groups:
-            union(closed_groups[ckey], v)
-        else:
-            closed_groups[ckey] = v
-    return [find(v) for v in range(n)]
+    A vertex with an equal-row (non-adjacent) twin is keyed by its row, any
+    other by its closed row.  No vertex has both kinds of twin: if u and v
+    share a row and w is an adjacent twin of v, then w lies in N(v) = N(u),
+    so u lies in N[w] = N[v], which puts u in its own row.  A row never
+    equals a closed row either, since no row holds its own vertex.
+    """
+    rows = Counter(masks)
+    return [mv if rows[mv] > 1 else mv | 1 << v for v, mv in enumerate(masks)]
 
 
-class _Abort(Exception):
-    pass
+def _column(mv: int, placed: list[int]) -> int:
+    """Adjacency of a vertex with row ``mv`` to ``placed``, first one high."""
+    seg = 0
+    for u in placed:
+        seg = (seg << 1) | ((mv >> u) & 1)
+    return seg
 
 
 def _search_min_segments(
-    n: int,
-    masks: tuple[int, ...],
-    ranks: tuple[int, ...],
-    incumbent: list[int] | None = None,
-    abort_on_smaller: bool = False,
-) -> tuple[list[int], bool]:
-    """Minimize the column segments of the adjacency code over rank-respecting
-    orderings.
-
-    Returns (best_segments, found_smaller_than_incumbent).  With
-    ``abort_on_smaller`` the search stops at the first ordering that beats the
-    incumbent, which makes canonicity rejection cheap.
+    n: int, masks: tuple[int, ...], ranks: tuple[int, ...], incumbent: list[int]
+) -> list[int] | None:
+    """Column segments of the first rank-respecting ordering, in search
+    order, whose adjacency code is smaller than ``incumbent``'s; None when
+    no ordering beats it.
     """
     rank_seq = sorted(ranks)
-    twin = _twin_classes(n, masks)
-    best: list[int] | None = list(incumbent) if incumbent is not None else None
-    version = 0
+    twin = _twin_classes(masks)
     placed: list[int] = []
     segs: list[int] = []
-    used = 0
 
-    def dfs(depth: int, rel_eq: bool, ver: int) -> None:
-        nonlocal best, version, used
+    def dfs(depth: int, used: int, tight: bool) -> bool:
+        # ``tight``: the segments so far equal the incumbent's.
         if depth == n:
-            if best is None:
-                best = segs.copy()
-                version += 1
-            elif not rel_eq:
-                best = segs.copy()
-                version += 1
-                if abort_on_smaller:
-                    raise _Abort
-            return
-        required = rank_seq[depth]
-        cands: list[tuple[int, int]] = []
+            return not tight
         seen_twins: set[int] = set()
+        cands = []
         for v in range(n):
-            if used & (1 << v) or ranks[v] != required:
+            if used >> v & 1 or ranks[v] != rank_seq[depth] or twin[v] in seen_twins:
                 continue
-            cls = twin[v]
-            if cls in seen_twins:
-                continue
-            seen_twins.add(cls)
-            mv = masks[v]
-            seg = 0
-            for u in placed:
-                seg = (seg << 1) | ((mv >> u) & 1)
-            cands.append((seg, v))
+            seen_twins.add(twin[v])
+            cands.append((_column(masks[v], placed), v))
         cands.sort()
         for seg, v in cands:
-            if best is not None:
-                if ver != version:
-                    # Any update since we entered came from our own subtree,
-                    # so the new best shares this node's prefix.
-                    rel_eq = True
-                    ver = version
-                if rel_eq:
-                    ref = best[depth]
-                    if seg > ref:
-                        break  # candidates sorted ascending
-                    child_eq = seg == ref
-                else:
-                    child_eq = False
-            else:
-                child_eq = True
+            if tight and seg > incumbent[depth]:
+                break
             placed.append(v)
             segs.append(seg)
-            used |= 1 << v
-            dfs(depth + 1, child_eq, version)
+            if dfs(depth + 1, used | 1 << v, tight and seg == incumbent[depth]):
+                return True
             placed.pop()
             segs.pop()
-            used &= ~(1 << v)
+        return False
 
-    found_smaller = False
-    try:
-        dfs(0, True, version if best is not None else 0)
-    except _Abort:
-        found_smaller = True
-    assert best is not None
-    return best, found_smaller
+    return segs if dfs(0, 0, True) else None
 
 
 def compose_code(segments: list[int]) -> int:
@@ -176,19 +125,7 @@ def labeling_is_canonical(
 ) -> bool:
     """True iff ``own`` (the graph's current labeling) attains the minimum code
     over rank-respecting orderings."""
-    _, smaller = _search_min_segments(
-        n, masks, ranks, incumbent=own, abort_on_smaller=True
-    )
-    return not smaller
-
-
-@lru_cache(maxsize=8192)
-def _canonical_key_cached(g: Graph) -> tuple[int, int]:
-    n = g.n
-    masks = g.adjacency_masks()
-    ranks = _refine_ranks(n, masks, _ranks_by_descending_value(g.degrees()))
-    best, _ = _search_min_segments(n, masks, ranks)
-    return n, compose_code(best)
+    return _search_min_segments(n, masks, ranks, own) is None
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:
@@ -197,7 +134,14 @@ def canonical_key(g: Graph) -> tuple[int, int]:
         raise GraphTooLargeError(
             f"canonical labeling supports at most {MAX_CANONICAL_VERTICES} vertices"
         )
-    return _canonical_key_cached(g)
+    n = g.n
+    masks = g.adjacency_masks()
+    ranks = _refine_ranks(n, masks, _ranks_by_descending_value(g.degrees()))
+    placed = sorted(range(n), key=ranks.__getitem__)
+    best = [_column(masks[v], placed[:depth]) for depth, v in enumerate(placed)]
+    while (smaller := _search_min_segments(n, masks, ranks, best)) is not None:
+        best = smaller
+    return n, compose_code(best)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -19,11 +19,12 @@ on every platform.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GraphTooLargeError, NonGraphicalError
-from .graph import Graph, disjoint_union
+from .graph import Graph, complement, disjoint_union
 from .isomorphism import (
     _ranks_by_descending_value,
     compose_code,
@@ -62,47 +63,27 @@ def havel_hakimi_realize(degrees: DegreeSequence) -> Graph:
     return Graph(n, edges)
 
 
-class RealizationStream:
-    """Iterator over all realizations of a degree sequence, one per
-    isomorphism class, in a fixed deterministic order.
-
-    ``emitted_codes`` keeps the canonical code of every graph produced so far
-    and is used to assert that no class is emitted twice.
-    """
-
-    def __init__(self, target: DegreeSequence) -> None:
-        self.target = target
-        self.emitted_codes: set[int] = set()
-        self._iterator = _enumerate_graphs(target)
-
-    def __iter__(self) -> "RealizationStream":
-        return self
-
-    def __next__(self) -> Graph:
-        graph, code = next(self._iterator)
-        if code in self.emitted_codes:
-            raise AssertionError("enumeration emitted two isomorphic graphs")
-        self.emitted_codes.add(code)
-        return graph
-
-
-def enumerate_realizations(degrees: DegreeSequence) -> RealizationStream:
+def enumerate_realizations(degrees: DegreeSequence) -> Iterator[Graph]:
     """Stream every simple graph with the given degree sequence, exactly one
-    representative per isomorphism class."""
+    representative per isomorphism class, in a fixed deterministic order.
+
+    The cap and graphicality are checked at the call, before the first graph
+    is produced.
+    """
     if degrees.n > ENUMERATION_CAP:
         raise GraphTooLargeError(
             f"enumeration supports at most {ENUMERATION_CAP} vertices, got {degrees.n}"
         )
     if not is_graphical(degrees):
         raise NonGraphicalError(f"{degrees!r} is not graphical")
-    return RealizationStream(degrees)
+    return _enumerate_graphs(degrees)
 
 
-def _enumerate_graphs(degrees: DegreeSequence):
+def _enumerate_graphs(degrees: DegreeSequence) -> Iterator[Graph]:
     n = degrees.n
     targets = degrees.sorted(descending=True)
     if n == 0:
-        yield Graph(0), 0
+        yield Graph(0)
         return
     ranks = _ranks_by_descending_value(targets)
 
@@ -110,6 +91,8 @@ def _enumerate_graphs(degrees: DegreeSequence):
     residual = [0] * n
     segs: list[int] = [0]
     residual[0] = targets[0]
+    # Codes of the graphs emitted so far: no class may be emitted twice.
+    emitted: set[int] = set()
     # The shared masks/residual/segs state is mutated depth-first; the stream
     # must be consumed from a single thread.
 
@@ -121,9 +104,9 @@ def _enumerate_graphs(degrees: DegreeSequence):
             if r > future:
                 return False
             total_placed += r
+        # Parity needs no test: residuals plus future targets sum to the even
+        # degree total minus twice the placed edges.
         future_targets = targets[placed:]
-        if (total_placed + sum(future_targets)) % 2 != 0:
-            return False
         supply = sum(min(t, placed) for t in future_targets)
         if total_placed > supply:
             return False
@@ -134,7 +117,11 @@ def _enumerate_graphs(degrees: DegreeSequence):
         # vertices 0..r-1 placed; place vertex r.
         if r == n:
             if all(residual[v] == 0 for v in range(n)):
-                yield Graph._from_rows(tuple(masks)), compose_code(segs)
+                code = compose_code(segs)
+                if code in emitted:
+                    raise AssertionError("enumeration emitted two isomorphic graphs")
+                emitted.add(code)
+                yield Graph._from_rows(tuple(masks))
             return
         t = targets[r]
         future = n - r - 1
@@ -217,12 +204,18 @@ def random_switch_walk(g: Graph, steps: int, seed: int) -> Graph:
 
     Deterministic: proposals are drawn from ``random.Random(seed)``.  Each
     edge slot is ``int(random() * count)`` (non-uniform by less than
-    count / 2**53) and the rewiring coin is ``random() < 0.5``.  Negative
-    seeds raise ValueError.  Every visited graph has the degree sequence of
-    ``g``.
+    count / 2**53) and the rewiring coin is ``random() < 0.5``.  A graph with
+    more than half of all possible edges is walked on its complement and the
+    walk's endpoint complemented back.  Negative seeds raise ValueError.
+    Every visited graph has the degree sequence of ``g``.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    if 4 * g.m > g.n * (g.n - 1):
+        # More than half of all pairs are edges, so almost every proposal
+        # would hit an existing edge.  A 2-switch of the complement is a
+        # 2-switch of ``g``, so walk the sparser complement instead.
+        return complement(random_switch_walk(complement(g), steps, seed))
     draw = random.Random(seed).random
     edges = g.edges()
     rows = list(g.adjacency_masks())

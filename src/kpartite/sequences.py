@@ -107,11 +107,6 @@ class PartitionProfile:
             return DegreeSequence(n - a for a in self.parts for _ in range(a))
         return DegreeSequence(a - 1 for a in self.parts for _ in range(a))
 
-    def dual(self) -> "PartitionProfile":
-        """Same part sizes, opposite flavor (complement family)."""
-        other = MULTIPARTITE_PARTS if self.flavor == CLIQUE_SIZES else CLIQUE_SIZES
-        return PartitionProfile(self.parts, other)
-
     def __repr__(self) -> str:
         return f"PartitionProfile({list(self.parts)}, {self.flavor!r})"
 

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import networkx as nx
@@ -24,7 +25,7 @@ from kpartite import (
     petersen_graph,
 )
 
-from .conftest import graphs_strategy, random_graph
+from .conftest import graphs_strategy, random_graph, random_graph_corpus
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -87,6 +88,25 @@ def test_symmetric_graphs_have_stable_keys():
     )
     assert canonical_key(empty_graph(10)) == canonical_key(empty_graph(10))
     assert canonical_key(complete_graph(12))[0] == 12
+
+
+def test_canonical_keys_match_recorded_digest():
+    # Seeded graphs with up to 12 vertices plus four vertex-transitive or
+    # twin-rich ones; the digest pins every key, so a change to the search
+    # that alters a canonical code shows here.
+    corpus = random_graph_corpus(3000, 12, seed=2026) + [
+        petersen_graph(),
+        cycle_graph(12),
+        complete_multipartite([3, 3, 3, 3]),
+        clique_union([2, 3, 3, 4]),
+    ]
+    digest = hashlib.sha256()
+    for g in corpus:
+        n, code = canonical_key(g)
+        digest.update(f"{n} {code}\n".encode())
+    assert digest.hexdigest() == (
+        "3845ea4f351ddcfcaab55c7c84e1e3c275016989cf58f0a04343e4b04de7014d"
+    )
 
 
 def test_size_cap():

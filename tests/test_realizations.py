@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -22,7 +23,9 @@ from kpartite import (
     enumerate_realizations,
     four_copies,
     havel_hakimi_realize,
+    is_complete_multipartite,
     is_isomorphic,
+    iter_profiles,
     max_independent_set,
     path_graph,
     petersen_graph,
@@ -130,6 +133,21 @@ def test_enumeration_deterministic_order():
     assert runs[0] == runs[1]
 
 
+def test_enumeration_order_matches_recorded_digest():
+    # Every realization of every clique-union profile with total <= 9, in
+    # emission order; the digest pins the order as well as the graphs.
+    digest = hashlib.sha256()
+    count = 0
+    for profile in iter_profiles(9):
+        for g in enumerate_realizations(profile.degree_sequence()):
+            digest.update(f"{encode_graph6(g)}\n".encode())
+            count += 1
+    assert count == 603
+    assert digest.hexdigest() == (
+        "0f4d009329b0e050334f61409141e54f386ea150dfc7e92dd2c2d85a820f797c"
+    )
+
+
 def test_graph_counts_by_vertex_count():
     # classic counts of graphs up to isomorphism
     expected = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -216,6 +234,16 @@ def test_random_walk_replays_recorded_stream():
     walked = random_switch_walk(clique_union([3, 3, 4]), steps=200, seed=99)
     assert encode_graph6(walked) == "I`?PQCH`G"
     assert encode_graph6(random_switch_walk(petersen_graph(), steps=50, seed=7)) == "IaKDHXO`G"
+
+
+def test_random_walk_moves_on_dense_graphs():
+    # On a complete multipartite graph every proposal would hit an existing
+    # edge; the walk runs on the sparse complement instead.
+    g = complete_multipartite([5] * 20)
+    for seed in range(5):
+        walked = random_switch_walk(g, steps=50, seed=seed)
+        assert degree_sequence(walked) == degree_sequence(g)
+        assert is_complete_multipartite(walked) is None
 
 
 def test_random_walk_rejects_negative_seed():
