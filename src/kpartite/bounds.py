@@ -10,8 +10,9 @@ bound needs floating point (a square root).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import ClassVar
 
 from .errors import OutsideFamilyError
 from .exact import max_clique, max_independent_set
@@ -140,38 +141,17 @@ class BoundReport:
     exact_alpha: int | None
     exact_omega: int | None
 
-    CSV_COLUMNS = (
-        "schema_version",
-        "graph_id",
-        "n",
-        "m",
-        "caro_wei",
-        "turan_alpha",
-        "hansen_zheng",
-        "myers_liu",
-        "edwards_elphick",
-        "sharpened_alpha",
-        "sharpened_omega",
-        "exact_alpha",
-        "exact_omega",
-    )
+    # Set below the class from the fields: the schema version, then each
+    # field in declaration order.
+    CSV_COLUMNS: ClassVar[tuple[str, ...]]
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "graph_id": self.graph_id,
-            "n": self.n,
-            "m": self.m,
-            "caro_wei": str(self.caro_wei),
-            "turan_alpha": str(self.turan_alpha),
-            "hansen_zheng": self.hansen_zheng,
-            "myers_liu": str(self.myers_liu),
-            "edwards_elphick": self.edwards_elphick,
-            "sharpened_alpha": self.sharpened_alpha,
-            "sharpened_omega": self.sharpened_omega,
-            "exact_alpha": self.exact_alpha,
-            "exact_omega": self.exact_omega,
-        }
+        """Fields in ``CSV_COLUMNS`` order; fractions as ``p/q`` strings."""
+        data: dict = {"schema_version": REPORT_SCHEMA_VERSION}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            data[f.name] = str(value) if isinstance(value, Fraction) else value
+        return data
 
     def to_csv_row(self) -> list[str]:
         def cell(value) -> str:
@@ -179,8 +159,10 @@ class BoundReport:
                 return ""
             return repr(value) if isinstance(value, float) else str(value)
 
-        data = self.to_json_dict()
-        return [cell(data[col]) for col in self.CSV_COLUMNS]
+        return [cell(value) for value in self.to_json_dict().values()]
+
+
+BoundReport.CSV_COLUMNS = ("schema_version", *(f.name for f in fields(BoundReport)))
 
 
 def compare_bounds(g: Graph, with_exact: bool = False) -> BoundReport:

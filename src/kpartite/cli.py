@@ -231,14 +231,14 @@ def _cmd_find_sharp(args) -> int:
     if g is None:
         print("no matching realization", file=sys.stderr)
         return 0
-    alpha = max_independent_set(g).size
     payload = {
         "graph6": encode_graph6(g),
         "n": g.n,
         "m": g.m,
         "profile": list(profile.parts),
         "k": profile.k,
-        "alpha": alpha,
+        # find_sharp_example returns only realizations with alpha = k + 1.
+        "alpha": profile.k + 1,
     }
     write_text(json.dumps(payload, indent=2) + "\n", args.out)
     return 0

@@ -42,7 +42,7 @@ class Graph:
     __slots__ = ("n", "_rows", "_m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        n = int(n)
+        n = index(n)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         rows = [0] * n
@@ -207,7 +207,7 @@ def cycle_graph(n: int) -> Graph:
 def complete_multipartite(sizes: Iterable[int]) -> Graph:
     """Complete multipartite graph; parts are consecutive vertex blocks in the
     given size order, all cross-part pairs adjacent."""
-    sizes = [int(a) for a in sizes]
+    sizes = [index(a) for a in sizes]
     if any(a < 1 for a in sizes):
         raise ValueError("part sizes must be positive")
     full = (1 << sum(sizes)) - 1
@@ -220,7 +220,7 @@ def complete_multipartite(sizes: Iterable[int]) -> Graph:
 
 def clique_union(sizes: Iterable[int]) -> Graph:
     """Disjoint union of cliques with the given sizes, in order."""
-    return disjoint_union([complete_graph(int(a)) for a in sizes])
+    return disjoint_union([complete_graph(a) for a in sizes])
 
 
 def petersen_graph() -> Graph:

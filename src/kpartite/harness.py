@@ -155,16 +155,18 @@ CAMPAIGN_CSV_COLUMNS = ("profile",) + BoundReport.CSV_COLUMNS + (
 )
 
 
-def bounds_report_rows(profiles: list[PartitionProfile]) -> list[dict]:
-    """Per-realization bound reports for whole profiles.
+def bounds_report_rows(profiles: list[PartitionProfile]) -> list[list[str]]:
+    """Per-realization bound reports for whole profiles, one row of cells in
+    ``CAMPAIGN_CSV_COLUMNS`` order per realization.
 
     ``sharpness_flagged`` marks non-canonical realizations where every
     classical independence bound stays below k + 1 <= exact alpha, i.e. where
     the family bound beats all of them.
     """
-    rows: list[dict] = []
+    rows: list[list[str]] = []
     for profile in profiles:
         k = profile.k
+        profile_cell = " ".join(str(a) for a in profile.parts)
         for report in check_profile(profile).reports:
             canonical = report.sharpened_alpha == k
             classical_below = (
@@ -173,17 +175,10 @@ def bounds_report_rows(profiles: list[PartitionProfile]) -> list[dict]:
                 and report.hansen_zheng < k + 1
             )
             flagged = not canonical and classical_below and report.exact_alpha >= k + 1
-            row = dict(zip(BoundReport.CSV_COLUMNS, report.to_csv_row()))
-            row["profile"] = " ".join(str(a) for a in profile.parts)
-            row["canonical"] = str(canonical)
-            row["sharpness_flagged"] = str(flagged)
-            rows.append(row)
+            rows.append([profile_cell, *report.to_csv_row(), str(canonical), str(flagged)])
     return rows
 
 
 def bounds_report_csv(profiles: list[PartitionProfile]) -> str:
     """CSV campaign report (fixed column order, schema version in each row)."""
-    rows = bounds_report_rows(profiles)
-    return encode_csv(
-        CAMPAIGN_CSV_COLUMNS, ([row[col] for col in CAMPAIGN_CSV_COLUMNS] for row in rows)
-    )
+    return encode_csv(CAMPAIGN_CSV_COLUMNS, bounds_report_rows(profiles))

@@ -40,27 +40,27 @@ def havel_hakimi_realize(degrees: DegreeSequence) -> Graph:
 
     Vertex i receives the i-th largest degree; each round links the vertex of
     largest remaining degree (lowest index on ties) to the next-largest ones.
+    By the Havel-Hakimi theorem a round runs out of neighbours exactly when
+    the sequence is not graphical, so the rounds are the graphicality test:
+    that round raises NonGraphicalError.
     """
-    if not is_graphical(degrees):
-        raise NonGraphicalError(f"{degrees!r} is not graphical")
-    n = degrees.n
     remaining = list(degrees.sorted(descending=True))
-    edges: list[tuple[int, int]] = []
-    active = list(range(n))
-    while True:
-        active = [v for v in active if remaining[v] > 0]
-        if not active:
-            break
-        active.sort(key=lambda v: (-remaining[v], v))
-        v = active[0]
+    rows = [0] * degrees.n
+    alive = [v for v, d in enumerate(remaining) if d > 0]
+    while alive:
+        # Stable sort of an index-ordered list: ties stay lowest index first.
+        order = sorted(alive, key=remaining.__getitem__, reverse=True)
+        v = order[0]
         need = remaining[v]
-        if need > len(active) - 1:
-            raise AssertionError("graphical sequence exhausted neighbors")
-        for u in active[1 : need + 1]:
-            edges.append((v, u))
+        if need >= len(order):
+            raise NonGraphicalError(f"{degrees!r} is not graphical")
+        for u in order[1 : need + 1]:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
             remaining[u] -= 1
         remaining[v] = 0
-    return Graph(n, edges)
+        alive = [u for u in alive if remaining[u] > 0]
+    return Graph._from_rows(tuple(rows))
 
 
 def enumerate_realizations(degrees: DegreeSequence) -> Iterator[Graph]:

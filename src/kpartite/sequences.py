@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from operator import index
 
 from .errors import FormatError
 from .instrument import OpCounter
@@ -31,7 +32,7 @@ class DegreeSequence:
     __slots__ = ("_sorted", "_multiplicities")
 
     def __init__(self, degrees: Iterable[int]) -> None:
-        values = sorted(int(d) for d in degrees)
+        values = sorted(index(d) for d in degrees)
         if values and values[0] < 0:
             raise ValueError("degrees must be non-negative")
         self._sorted = tuple(values)
@@ -87,7 +88,7 @@ class PartitionProfile:
     flavor: str = field(default=CLIQUE_SIZES, compare=False)
 
     def __post_init__(self) -> None:
-        parts = tuple(sorted(int(a) for a in self.parts))
+        parts = tuple(sorted(index(a) for a in self.parts))
         if parts and parts[0] < 1:
             raise ValueError("part sizes must be positive")
         object.__setattr__(self, "parts", parts)

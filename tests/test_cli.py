@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 import kpartite
 from kpartite import (
     clique_union,
+    complete_multipartite,
     cycle_graph,
     decode_graph6,
     degree_sequence,
@@ -19,6 +21,8 @@ from kpartite import (
     save_graph,
 )
 from kpartite.cli import main, parse_named_graph
+
+from .conftest import random_graph_corpus
 
 
 def run(capsys, *argv):
@@ -82,6 +86,41 @@ def test_bounds_single_and_batch(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("schema_version,")
     assert len(lines) == 3
+
+
+def test_bounds_reports_match_recorded_digests(tmp_path, capsys):
+    # The JSON report and the batch CSV are published outputs: their bytes are
+    # pinned over canonical and non-canonical family members and graphs
+    # outside both families.
+    corpus = [
+        clique_union([2, 3]),
+        complete_multipartite([1, 2, 2]),
+        cycle_graph(6),
+        petersen_graph(),
+        clique_union([1, 4, 4]),
+        complete_multipartite([3, 3]),
+        *random_graph_corpus(8, 9, seed=71),
+    ]
+    json_digest, csv_digest = hashlib.sha256(), hashlib.sha256()
+    for i, g in enumerate(corpus[:4]):
+        path = tmp_path / f"g{i}.g6"
+        save_graph(g, str(path))
+        for exact in ((), ("--exact",)):
+            code, out, err = run(capsys, "bounds", "--input", str(path), *exact)
+            assert code == 0 and err == ""
+            json_digest.update(out.encode())
+    batch = tmp_path / "batch.g6"
+    batch.write_text("".join(f"{encode_graph6(g)}\n" for g in corpus))
+    for exact in ((), ("--exact",)):
+        code, out, err = run(capsys, "bounds", "--input", str(batch), *exact)
+        assert code == 0 and err == "" and len(out.splitlines()) == len(corpus) + 1
+        csv_digest.update(out.encode())
+    assert json_digest.hexdigest() == (
+        "8b1ea8d422ecce929891a7a9d14a3b79500cfbd32aa31dc04c63d8405c099910"
+    )
+    assert csv_digest.hexdigest() == (
+        "8d2239bedf04c974c4706795210b2f740e3ace87d3b82287aab2a175a41b3f10"
+    )
 
 
 def test_bounds_profile_campaign(capsys):

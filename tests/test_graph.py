@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given
 
 from kpartite import (
+    DegreeSequence,
     Graph,
+    PartitionProfile,
     clique_union,
     complement,
     complete_graph,
@@ -38,6 +40,23 @@ def test_numpy_integer_endpoints():
     assert all(type(row) is int for row in g.adjacency_masks())
     with pytest.raises(TypeError):
         Graph(3, [(0.0, 1.0)])
+
+
+def test_integer_arguments_reject_floats_and_accept_numpy():
+    # Counts and sizes are read as integers, never truncated: 2.7 is an error,
+    # not a 2.
+    for build in (DegreeSequence, PartitionProfile, complete_multipartite, clique_union):
+        with pytest.raises(TypeError):
+            build([2.7, 2.2, 2.9])
+    with pytest.raises(TypeError):
+        Graph(3.9)
+    sizes = np.array([2, 3], dtype=np.int64)
+    assert DegreeSequence(sizes) == DegreeSequence([2, 3])
+    assert all(type(d) is int for d in DegreeSequence(sizes))
+    assert PartitionProfile(sizes).parts == (2, 3)
+    assert Graph(np.int64(3)) == Graph(3)
+    assert complete_multipartite(sizes) == complete_multipartite([2, 3])
+    assert clique_union(sizes) == clique_union([2, 3])
 
 
 def test_duplicate_edges_collapse():

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import networkx as nx
 import pytest
@@ -46,6 +46,44 @@ def test_havel_hakimi_examples():
     assert degree_sequence(g) == target
     with pytest.raises(NonGraphicalError):
         havel_hakimi_realize(DegreeSequence([1, 1, 1]))
+
+
+def test_havel_hakimi_decides_graphicality_itself():
+    # Every multiset of n <= 7 values from 0..n, so degrees >= n and odd sums
+    # are included: the greedy rounds must fail exactly on the sequences
+    # Erdos-Gallai rejects, with the same message.
+    count = 0
+    for n in range(8):
+        for seq in combinations_with_replacement(range(n + 1), n):
+            count += 1
+            target = DegreeSequence(seq)
+            if is_graphical(target):
+                assert degree_sequence(havel_hakimi_realize(target)) == target
+            else:
+                with pytest.raises(NonGraphicalError) as info:
+                    havel_hakimi_realize(target)
+                assert str(info.value) == f"{target!r} is not graphical"
+    assert count == 4707
+
+
+def test_havel_hakimi_output_matches_recorded_digest():
+    # Seeded clique-union and random graphical sequences up to 1000 vertices;
+    # the digest pins which of the tied vertices each round links.
+    draw = random.Random(20261018).random
+    digest = hashlib.sha256()
+    for n in (7, 30, 120, 400, 1000):
+        sizes: list[int] = []
+        while sum(sizes) < n:
+            sizes.append(min(n - sum(sizes), 1 + int(draw() * 25)))
+        p = min(0.5, 12 / n)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if draw() < p])
+        for host in (clique_union(sizes), g):
+            realized = havel_hakimi_realize(degree_sequence(host))
+            assert degree_sequence(realized) == degree_sequence(host)
+            digest.update(f"{encode_graph6(realized)}\n".encode())
+    assert digest.hexdigest() == (
+        "29be6990df6714a158da59c3567cfd93628792ee395f7a7379e5fafb62fba97b"
+    )
 
 
 def test_enumerate_two_regular_six():
