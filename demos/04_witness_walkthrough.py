@@ -8,8 +8,6 @@ maximal set in the minimum-degree layers (repairing by a swap if it is too
 small), then absorb one new vertex per remaining layer.
 """
 
-from dataclasses import replace
-
 from kpartite import (
     base_independent_set,
     clique_union_profile_from_degrees,
@@ -31,9 +29,8 @@ profile = clique_union_profile_from_degrees(degree_sequence(p5))
 print(f"degrees {list(degree_sequence(p5))} -> clique sizes {profile.parts}, k={profile.k}")
 state = initial_proof_state(p5, profile)
 print("layers (by degree):", state.layers)
-base = base_independent_set(state)
-print("greedy base in the minimum layers:", sorted(base))
-state = replace(state, independent=tuple(sorted(base)), level=0)
+state = base_independent_set(state)
+print("greedy base in the minimum layers:", list(state.independent))
 state = extend_independent_set(state)
 print("after extension:", state.independent)
 print("exact alpha:", max_independent_set(p5).size)
@@ -44,7 +41,7 @@ c6 = cycle_graph(6)
 profile = clique_union_profile_from_degrees(degree_sequence(c6))
 state = initial_proof_state(c6, profile)
 print(f"k = {profile.k}; both parts have the minimum size, so the core is the whole graph")
-print("base set:", sorted(base_independent_set(state)))
+print("base set:", list(base_independent_set(state).independent))
 
 print()
 print("=== Stripping clique components first ===")

@@ -5,10 +5,10 @@ Enumeration builds graphs one vertex at a time in non-increasing target-degree
 order, deciding each new vertex's back-edges as a column of the adjacency
 triangle.  A partial graph survives only if its labeling attains the minimum
 column code over all orderings that respect the target degrees; the prefix of
-a minimal labeling is itself minimal, so every isomorphism class is emitted
-exactly once without storing previously seen graphs.  Degree feasibility of
-every partial graph is checked with residual-capacity and Erdos-Gallai
-pruning.
+a minimal labeling is itself minimal, so this canonicity test is what makes
+every isomorphism class appear exactly once; the codes of emitted graphs are
+kept only as a guard that fails loudly otherwise.  Degree feasibility of every
+partial graph is checked with residual-capacity and Erdos-Gallai pruning.
 
 The 2-switch sampler draws from the standard library's ``random.Random``
 seeded with the walk seed.  Only its ``random()`` floats are used, the one

@@ -118,22 +118,21 @@ def multipartite_profile_from_degrees(
     """Part sizes of a complete multipartite graph with this degree multiset,
     or None if no such graph exists.
 
-    The multiplicity of each degree ``d`` must be a positive multiple of
-    ``n - d``; every ``n - d`` vertices of degree ``d`` form one part.
-    Touches only the multiplicity mapping.
+    The complement of a complete multipartite graph is the union of cliques
+    on its parts, so this is the clique rule on the complementary degrees:
+    the multiplicity of each degree ``d`` must be a multiple of ``n - d``.
+    Raises ValueError naming the smallest degree that is ``n`` or more.
     """
     n = degrees.n
-    parts: list[int] = []
-    for d, mult in degrees.multiplicities.items():
-        if counter is not None:
-            counter.bump()
-        if d >= n:
-            raise ValueError(f"degree {d} impossible in a simple graph on {n} vertices")
-        size = n - d
-        if mult % size != 0:
-            return None
-        parts.extend([size] * (mult // size))
-    return PartitionProfile(tuple(parts), MULTIPARTITE_PARTS)
+    too_large = [d for d in degrees.multiplicities if d >= n]
+    if too_large:
+        raise ValueError(
+            f"degree {min(too_large)} impossible in a simple graph on {n} vertices"
+        )
+    profile = clique_union_profile_from_degrees(degrees.complement(), counter)
+    if profile is None:
+        return None
+    return PartitionProfile(profile.parts, MULTIPARTITE_PARTS)
 
 
 def clique_union_profile_from_degrees(
@@ -162,7 +161,7 @@ def is_graphical(degrees: DegreeSequence) -> bool:
     n = len(seq)
     if n == 0:
         return True
-    if seq[0] >= n or seq[-1] < 0:
+    if seq[0] >= n:
         return False
     if sum(seq) % 2 != 0:
         return False

@@ -31,7 +31,8 @@ Each step is deterministic, so certificates are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from .errors import CanonicalGraphError, OutsideFamilyError, ProofStateError
 from .exact import CLIQUE, INDEPENDENT_SET, WitnessCertificate, _greedy_independent
@@ -43,15 +44,24 @@ from .sequences import CLIQUE_SIZES, PartitionProfile, clique_union_profile_from
 
 @dataclass(frozen=True)
 class ProofState:
-    """Working state of the constructive search: the host's bitmask rows, in
-    which only the vertices of ``layers`` are in play."""
+    """Working state of the constructive search.  Vertex sets are masks on the
+    host's ``rows``: ``chosen`` holds the members, ``blocked`` the members and
+    their neighbours, ``free`` the vertices outside ``blocked`` of the layers in
+    play (the c minimum layers and ``level`` more)."""
 
     rows: tuple[int, ...]
     profile: PartitionProfile
     min_part_count: int
     layers: tuple[tuple[int, ...], ...]
-    independent: tuple[int, ...]
     level: int
+    chosen: int
+    blocked: int
+    free: int
+
+    @property
+    def independent(self) -> tuple[int, ...]:
+        """The members, ascending."""
+        return tuple(iter_bits(self.chosen))
 
 
 def strip_clique_components(
@@ -114,38 +124,51 @@ def _proof_state(
             )
         cursor[a] = start + a
         layers.append(tuple(chunk))
-    return ProofState(
-        rows=rows,
-        profile=profile,
-        min_part_count=parts.count(parts[0]),
-        layers=tuple(layers),
-        independent=(),
-        level=0,
-    )
+    c = parts.count(parts[0])
+    return ProofState(rows, profile, c, tuple(layers), 0, 0, 0, _mask(layers[:c]))
+
+
+def _mask(layers: Iterable[tuple[int, ...]]) -> int:
+    return sum(1 << v for layer in layers for v in layer)
 
 
 def base_independent_set(
     state: ProofState, counter: OpCounter | None = None
-) -> frozenset[int]:
-    """Independent set of size at least c + 1 inside the c minimum layers.
+) -> ProofState:
+    """Install an independent set of size >= c + 1 in the c minimum layers.
 
     Greedy (ascending index) gives a maximal independent set of size >= c; if
     it has exactly c members, one of them must have two non-adjacent
-    neighbors, and the swap repair replaces it by that pair.
+    neighbors, and the swap repair replaces it by that pair.  A set larger
+    than c + 1 fast-forwards the layer induction by its surplus.
     """
     rows = state.rows
     c = state.min_part_count
-    core = sum(1 << v for layer in state.layers[:c] for v in layer)
+    core = _mask(state.layers[:c])
     if counter is not None:
         counter.bump(core.bit_count())
-    greedy = _greedy_independent(core, rows)
-    if greedy.bit_count() < c:
+    chosen = _greedy_independent(core, rows)
+    if chosen.bit_count() < c:
         raise ProofStateError(
             "maximal independent set smaller than the minimum-part count"
         )
-    if greedy.bit_count() > c:
-        return frozenset(iter_bits(greedy))
-    for x in iter_bits(greedy):
+    if chosen.bit_count() == c:
+        chosen = _swap_repair(chosen, core, rows, counter)
+    level = min(chosen.bit_count() - c - 1, state.profile.k - c)
+    blocked = 0
+    for v in iter_bits(chosen):
+        blocked |= rows[v] | 1 << v
+    free = _mask(state.layers[: c + level]) & ~blocked
+    return ProofState(
+        rows, state.profile, c, state.layers, level, chosen, blocked, free
+    )
+
+
+def _swap_repair(
+    chosen: int, core: int, rows: tuple[int, ...], counter: OpCounter | None
+) -> int:
+    """Swap a member of ``chosen`` for two non-adjacent neighbours in ``core``."""
+    for x in iter_bits(chosen):
         neighborhood = rows[x] & core
         # The lowest neighbour y with a non-adjacent partner, and its lowest
         # such partner z, are the first non-adjacent pair in ascending order.
@@ -154,7 +177,7 @@ def base_independent_set(
                 counter.bump()
             apart = neighborhood & ~(rows[y] | 1 << y)
             if apart:
-                return frozenset(iter_bits((greedy ^ 1 << x) | 1 << y | apart & -apart))
+                return (chosen ^ 1 << x) | 1 << y | apart & -apart
     raise ProofStateError(
         "all chosen neighborhoods are cliques; the stripped graph would "
         "contain a clique component"
@@ -164,30 +187,14 @@ def base_independent_set(
 def extend_independent_set(
     state: ProofState, counter: OpCounter | None = None
 ) -> ProofState:
-    """Bring the next layer into play and grow the independent set by the
-    lowest-indexed vertex non-adjacent to all current members."""
-    return _extend(state, *_frontier(state), counter)[0]
-
-
-def _frontier(state: ProofState) -> tuple[int, int]:
-    """Masks of the members and their neighbors (``blocked``) and of the
-    vertices of the layers in play outside them (``free``)."""
-    blocked = 0
-    for u in state.independent:
-        blocked |= state.rows[u] | (1 << u)
-    in_play = state.layers[: state.min_part_count + state.level]
-    return blocked, sum(1 << v for layer in in_play for v in layer) & ~blocked
-
-
-def _extend(
-    state: ProofState, blocked: int, free: int, counter: OpCounter | None
-) -> tuple[ProofState, int, int]:
-    """One extension step on the masks of ``_frontier``, which it returns
-    updated: O(n / w) word operations instead of a rescan of the layers."""
+    """Bring the next layer into play and add the lowest-indexed vertex
+    non-adjacent to all members: O(n / w) word operations on the masks."""
     c = state.min_part_count
     if state.level >= state.profile.k - c:
         raise ProofStateError("no further layers to extend into")
-    free |= sum(1 << v for v in state.layers[c + state.level]) & ~blocked
+    level = state.level + 1
+    free = state.free | _mask(state.layers[c + state.level : c + level])
+    free &= ~state.blocked
     if counter is not None:
         counter.bump()
     if not free:
@@ -195,11 +202,12 @@ def _extend(
             "extension scan found no vertex; degree bookkeeping violated"
         )
     low = free & -free
-    v = low.bit_length() - 1
-    blocked |= state.rows[v] | low
-    independent = tuple(sorted((*state.independent, v)))
-    state = replace(state, independent=independent, level=state.level + 1)
-    return state, blocked, free & ~blocked
+    chosen = state.chosen | low
+    blocked = state.blocked | state.rows[low.bit_length() - 1] | low
+    free &= ~blocked
+    return ProofState(
+        state.rows, state.profile, c, state.layers, level, chosen, blocked, free
+    )
 
 
 def witness_independent_set(
@@ -223,18 +231,11 @@ def witness_independent_set(
             "graph is the canonical clique union; no larger independent set exists"
         )
     state = _proof_state(g.adjacency_masks(), kept, reduced)
-    base = base_independent_set(state, counter)
-    k_reduced = reduced.k
-    # A base set larger than c + 1 has all members in the minimum layers and
-    # fast-forwards the layer induction by its surplus.
-    level = min(len(base) - state.min_part_count - 1, k_reduced - state.min_part_count)
-    state = replace(state, independent=tuple(sorted(base)), level=level)
-    blocked, free = _frontier(state)
-    while len(state.independent) < k_reduced + 1:
-        state, blocked, free = _extend(state, blocked, free, counter)
-    chosen = set(state.independent)
-    chosen.update((clique & -clique).bit_length() - 1 for clique in removed)
-    certificate = WitnessCertificate(frozenset(chosen), INDEPENDENT_SET)
+    state = base_independent_set(state, counter)
+    while state.chosen.bit_count() < reduced.k + 1:
+        state = extend_independent_set(state, counter)
+    chosen = state.chosen | sum(clique & -clique for clique in removed)
+    certificate = WitnessCertificate(frozenset(iter_bits(chosen)), INDEPENDENT_SET)
     if certificate.size < profile.k + 1:
         raise ProofStateError("constructed witness smaller than required")
     return certificate
@@ -244,5 +245,15 @@ def witness_clique(g: Graph, counter: OpCounter | None = None) -> WitnessCertifi
     """Clique of size >= k + 1 for a non-canonical graph degree-equivalent to
     a complete k-partite graph; runs the independent-set construction on the
     complement."""
-    cert = witness_independent_set(complement(g), counter)
+    try:
+        cert = witness_independent_set(complement(g), counter)
+    except OutsideFamilyError:
+        raise OutsideFamilyError(
+            "degree sequence does not match any complete multipartite graph"
+        ) from None
+    except CanonicalGraphError:
+        raise CanonicalGraphError(
+            "graph is the canonical complete multipartite graph; "
+            "no larger clique exists"
+        ) from None
     return WitnessCertificate(cert.vertices, CLIQUE)

@@ -50,6 +50,13 @@ def test_recognize_degrees(capsys):
     assert payload["multipartite_profile_from_degrees"] is None
 
 
+def test_recognize_degrees_rejects_any_degree_of_n_or_more(capsys):
+    for degrees in ("3,3,3", "0,3,3"):
+        code, out, err = run(capsys, "recognize", "--degrees", degrees)
+        assert code == 2 and out == ""
+        assert err == "error: degree 3 impossible in a simple graph on 3 vertices\n"
+
+
 def test_recognize_input_file(tmp_path, capsys):
     path = tmp_path / "c4.g6"
     save_graph(cycle_graph(4), str(path))
@@ -143,6 +150,25 @@ def test_witness_command(tmp_path, capsys):
     save_graph(clique_union([3, 3]), str(canonical))
     code, _, err = run(capsys, "witness", "--input", str(canonical))
     assert code == 2 and "canonical" in err
+
+
+def test_witness_clique_errors_name_the_multipartite_family(tmp_path, capsys):
+    foreign = tmp_path / "p4.g6"
+    save_graph(parse_named_graph("p4"), str(foreign))
+    code, out, err = run(capsys, "witness", "--clique", "--input", str(foreign))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: degree sequence does not match any complete multipartite graph\n"
+    )
+
+    canonical = tmp_path / "k334.g6"
+    save_graph(complete_multipartite([3, 3, 4]), str(canonical))
+    code, out, err = run(capsys, "witness", "--clique", "--input", str(canonical))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: graph is the canonical complete multipartite graph; "
+        "no larger clique exists\n"
+    )
 
 
 def test_realize_and_enumerate(capsys):

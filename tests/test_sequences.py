@@ -1,3 +1,6 @@
+import hashlib
+from itertools import combinations_with_replacement
+
 import networkx as nx
 import pytest
 from hypothesis import given
@@ -54,6 +57,28 @@ def test_multipartite_profile_from_degrees_examples():
     assert multipartite_profile_from_degrees(DegreeSequence([1, 1, 1, 1])) is None
     with pytest.raises(ValueError):
         multipartite_profile_from_degrees(DegreeSequence([3, 3, 3]))
+
+
+def test_multipartite_rule_on_every_small_multiset():
+    # Every multiset of n <= 6 values from 0..n+1.  A degree of n or more is
+    # rejected whatever else the multiset holds, naming the smallest one; the
+    # digest pins the profiles (or None) of all the others.
+    digest = hashlib.sha256()
+    for n in range(7):
+        for values in combinations_with_replacement(range(n + 2), n):
+            ds = DegreeSequence(values)
+            too_large = [d for d in values if d >= n]
+            if too_large:
+                message = f"degree {too_large[0]} impossible in a simple graph on {n} "
+                with pytest.raises(ValueError, match=f"^{message}vertices$"):
+                    multipartite_profile_from_degrees(ds)
+                continue
+            got = multipartite_profile_from_degrees(ds)
+            line = "None" if got is None else f"{got.parts} {got.flavor}"
+            digest.update(f"{values} {line}\n".encode())
+    assert digest.hexdigest() == (
+        "29566da7a7f6f7b056e42469d91aa23b5af5bf2ed72917baf8870d5bf0699a10"
+    )
 
 
 def test_clique_union_profile_from_degrees_examples():

@@ -12,6 +12,7 @@ from kpartite import (
     ProofStateError,
     base_independent_set,
     clique_union,
+    clique_union_profile_from_degrees,
     complement,
     complete_graph,
     cycle_graph,
@@ -100,24 +101,25 @@ def test_strip_examples():
 
 def test_base_independent_set_on_c6():
     state = initial_proof_state(cycle_graph(6), PartitionProfile((3, 3)))
-    base = base_independent_set(state)
-    assert base == frozenset({0, 2, 4})
+    state = base_independent_set(state)
+    assert state.independent == (0, 2, 4)
+    # Both layers are minimum layers: k + 1 members and no free vertex left.
+    assert state.level == 0 and state.free == 0
 
 
 def test_base_independent_set_on_c9():
     state = initial_proof_state(cycle_graph(9), PartitionProfile((3, 3, 3)))
-    base = base_independent_set(state)
-    assert base == frozenset({0, 2, 4, 6})
+    state = base_independent_set(state)
+    assert state.independent == (0, 2, 4, 6)
+    assert state.chosen == 0b1010101
 
 
 def test_extension_on_p5():
-    from dataclasses import replace
-
     g = path_graph(5)
     state = initial_proof_state(g, PartitionProfile((2, 3)))
-    base = base_independent_set(state)
-    assert base == frozenset({0, 4})
-    state = replace(state, independent=tuple(sorted(base)), level=0)
+    state = base_independent_set(state)
+    assert state.independent == (0, 4)
+    assert state.blocked == 0b11011
     state = extend_independent_set(state)
     assert set(state.independent) == {0, 2, 4}
     with pytest.raises(ProofStateError):
@@ -189,17 +191,22 @@ def _switched_clique_union(n, seed):
     return random_switch_walk(canonical, steps=4 * canonical.m, seed=seed)
 
 
-def test_witness_certificates_match_recorded_digest():
-    # Both witnesses on every non-canonical realization up to 9 vertices and
-    # on three switched members with 200-500 vertices; the digest pins every
-    # certificate, so any change to one shows here.
+def _digest_corpus():
+    """Every non-canonical realization up to 9 vertices and three switched
+    members with 200-500 vertices."""
     corpus = [
         g
         for profile in iter_profiles(9)
         for g in enumerate_realizations(profile.degree_sequence())
         if is_clique_union(g) is None
     ]
-    corpus += [_switched_clique_union(n, seed=n) for n in (200, 350, 500)]
+    return corpus + [_switched_clique_union(n, seed=n) for n in (200, 350, 500)]
+
+
+def test_witness_certificates_match_recorded_digest():
+    # Both witnesses on the corpus; the digest pins every certificate, so any
+    # change to one shows here.
+    corpus = _digest_corpus()
     digest = hashlib.sha256()
     for g in corpus:
         independent = witness_independent_set(g).sorted_vertices()
@@ -209,6 +216,22 @@ def test_witness_certificates_match_recorded_digest():
     assert digest.hexdigest() == (
         "630a77d6caf96d2520d7d8a7fd8e8c5082b3575171080b074c83c5ed7d63b1ef"
     )
+
+
+def test_public_steps_are_the_production_path():
+    # The public steps from the initial state give the production certificate
+    # on the remainder of every graph of the digest corpus after its clique
+    # components are stripped; a graph without any is its own remainder.
+    for g in _digest_corpus():
+        profile = clique_union_profile_from_degrees(degree_sequence(g))
+        h, reduced = strip_clique_components(g, profile)
+        counter = OpCounter()
+        state = base_independent_set(initial_proof_state(h, reduced), counter)
+        while len(state.independent) < reduced.k + 1:
+            state = extend_independent_set(state, counter)
+        assert state.independent == witness_independent_set(h).sorted_vertices()
+        # Linear in counted steps, as for the whole witness.
+        assert counter.count <= 2 * (h.n + h.m)
 
 
 def test_witness_clique_on_dense_8000_vertex_member():
