@@ -20,6 +20,7 @@ Intended for small graphs; hard cap of 12 vertices.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 
 from .errors import GraphTooLargeError
 from .graph import Graph, iter_bits
@@ -66,7 +67,7 @@ def _twin_classes(masks: tuple[int, ...]) -> list[int]:
     return [mv if rows[mv] > 1 else mv | 1 << v for v, mv in enumerate(masks)]
 
 
-def _column(mv: int, placed: list[int]) -> int:
+def _column(mv: int, placed: Iterable[int]) -> int:
     """Adjacency of a vertex with row ``mv`` to ``placed``, first one high."""
     seg = 0
     for u in placed:
@@ -75,12 +76,13 @@ def _column(mv: int, placed: list[int]) -> int:
 
 
 def _search_min_segments(
-    n: int, masks: tuple[int, ...], ranks: tuple[int, ...], incumbent: list[int]
+    masks: tuple[int, ...], ranks: tuple[int, ...], incumbent: Sequence[int]
 ) -> list[int] | None:
     """Column segments of the first rank-respecting ordering, in search
     order, whose adjacency code is smaller than ``incumbent``'s; None when
     no ordering beats it.
     """
+    n = len(masks)
     rank_seq = sorted(ranks)
     twin = _twin_classes(masks)
     placed: list[int] = []
@@ -121,11 +123,11 @@ def compose_code(segments: list[int]) -> int:
 
 
 def labeling_is_canonical(
-    n: int, masks: tuple[int, ...], ranks: tuple[int, ...], own: list[int]
+    masks: tuple[int, ...], ranks: tuple[int, ...], own: Sequence[int]
 ) -> bool:
     """True iff ``own`` (the graph's current labeling) attains the minimum code
     over rank-respecting orderings."""
-    return _search_min_segments(n, masks, ranks, own) is None
+    return _search_min_segments(masks, ranks, own) is None
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:
@@ -139,7 +141,7 @@ def canonical_key(g: Graph) -> tuple[int, int]:
     ranks = _refine_ranks(n, masks, _ranks_by_descending_value(g.degrees()))
     placed = sorted(range(n), key=ranks.__getitem__)
     best = [_column(masks[v], placed[:depth]) for depth, v in enumerate(placed)]
-    while (smaller := _search_min_segments(n, masks, ranks, best)) is not None:
+    while (smaller := _search_min_segments(masks, ranks, best)) is not None:
         best = smaller
     return n, compose_code(best)
 

@@ -6,7 +6,7 @@ order, deciding each new vertex's back-edges as a column of the adjacency
 triangle.  A partial graph survives only if its labeling attains the minimum
 column code over all orderings that respect the target degrees; the prefix of
 a minimal labeling is itself minimal, so this canonicity test is what makes
-every isomorphism class appear exactly once; the codes of emitted graphs are
+every isomorphism class appear exactly once; the rows of emitted graphs are
 kept only as a guard that fails loudly otherwise.  Degree feasibility of every
 partial graph is checked with residual-capacity and Erdos-Gallai pruning.
 
@@ -25,11 +25,7 @@ from itertools import combinations
 
 from .errors import GraphTooLargeError, NonGraphicalError
 from .graph import Graph, complement, disjoint_union
-from .isomorphism import (
-    _ranks_by_descending_value,
-    compose_code,
-    labeling_is_canonical,
-)
+from .isomorphism import _column, _ranks_by_descending_value, labeling_is_canonical
 from .sequences import DegreeSequence, _erdos_gallai_sorted, is_graphical
 
 ENUMERATION_CAP = 10
@@ -86,79 +82,59 @@ def _enumerate_graphs(degrees: DegreeSequence) -> Iterator[Graph]:
         yield Graph(0)
         return
     ranks = _ranks_by_descending_value(targets)
+    # Rows of the graphs emitted so far: no class may be emitted twice.
+    emitted: set[tuple[int, ...]] = set()
 
-    masks = [0] * n
-    residual = [0] * n
-    segs: list[int] = [0]
-    residual[0] = targets[0]
-    # Codes of the graphs emitted so far: no class may be emitted twice.
-    emitted: set[int] = set()
-    # The shared masks/residual/segs state is mutated depth-first; the stream
-    # must be consumed from a single thread.
-
-    def feasible(placed: int) -> bool:
+    def feasible(rows: tuple[int, ...]) -> bool:
+        placed = len(rows)
         future = n - placed
-        total_placed = 0
-        for v in range(placed):
-            r = residual[v]
-            if r > future:
-                return False
-            total_placed += r
+        residual = [t - row.bit_count() for t, row in zip(targets, rows)]
+        if max(residual) > future:
+            return False
         # Parity needs no test: residuals plus future targets sum to the even
         # degree total minus twice the placed edges.
         future_targets = targets[placed:]
         supply = sum(min(t, placed) for t in future_targets)
-        if total_placed > supply:
+        if sum(residual) > supply:
             return False
-        combined = sorted(residual[:placed] + list(future_targets), reverse=True)
+        combined = sorted(residual + list(future_targets), reverse=True)
         return _erdos_gallai_sorted(tuple(combined))
 
-    def extend(r: int):
-        # vertices 0..r-1 placed; place vertex r.
+    def extend(rows: tuple[int, ...], segs: tuple[int, ...]):
+        # ``rows`` holds the placed vertices; place vertex r.
+        r = len(rows)
         if r == n:
-            if all(residual[v] == 0 for v in range(n)):
-                code = compose_code(segs)
-                if code in emitted:
-                    raise AssertionError("enumeration emitted two isomorphic graphs")
-                emitted.add(code)
-                yield Graph._from_rows(tuple(masks))
+            # No residual test: feasible() with no vertex left needs all 0.
+            if rows in emitted:
+                raise AssertionError("enumeration emitted two isomorphic graphs")
+            emitted.add(rows)
+            yield Graph._from_rows(rows)
             return
         t = targets[r]
-        future = n - r - 1
-        eligible = [u for u in range(r) if residual[u] > 0]
-        low = max(0, t - future)
+        eligible = [u for u in range(r) if rows[u].bit_count() < targets[u]]
+        low = max(0, t - (n - r - 1))
         high = min(t, len(eligible))
-        prev_seg = segs[-1] if r >= 1 else 0
-        same_rank = r >= 1 and ranks[r] == ranks[r - 1]
+        same_rank = ranks[r] == ranks[r - 1]
         for size in range(low, high + 1):
             for chosen in combinations(eligible, size):
-                seg = 0
-                for u in range(r):
-                    seg = (seg << 1) | (1 if u in chosen else 0)
+                col = sum(1 << u for u in chosen)
+                seg = _column(col, range(r))
                 # A minimal labeling has non-decreasing columns within one
                 # target-degree block (restricted to shared positions).
-                if same_rank and (seg >> 1) < prev_seg:
+                if same_rank and (seg >> 1) < segs[-1]:
                     continue
+                child = list(rows)
                 for u in chosen:
-                    residual[u] -= 1
-                    masks[u] |= 1 << r
-                    masks[r] |= 1 << u
-                residual[r] = t - size
-                segs.append(seg)
-                if feasible(r + 1) and labeling_is_canonical(
-                    r + 1, tuple(masks[: r + 1]), ranks[: r + 1], segs
+                    child[u] |= 1 << r
+                child_rows = (*child, col)
+                child_segs = (*segs, seg)
+                if feasible(child_rows) and labeling_is_canonical(
+                    child_rows, ranks[: r + 1], child_segs
                 ):
-                    yield from extend(r + 1)
-                segs.pop()
-                residual[r] = 0
-                for u in chosen:
-                    residual[u] += 1
-                    masks[u] &= ~(1 << r)
-                    masks[r] &= ~(1 << u)
+                    yield from extend(child_rows, child_segs)
 
-    # The one-vertex prefix is trivially canonical; start the search there.
-    if feasible(1):
-        yield from extend(1)
+    # One vertex is canonical, and is_graphical() is its feasible() test.
+    yield from extend((0,), (0,))
 
 
 @dataclass(frozen=True)

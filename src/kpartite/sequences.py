@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import index
 
 from .errors import FormatError
@@ -171,14 +172,17 @@ def is_graphical(degrees: DegreeSequence) -> bool:
 def _erdos_gallai_sorted(seq: tuple[int, ...]) -> bool:
     # seq sorted non-increasing, all in [0, n), even sum.
     n = len(seq)
+    # suffix[i] = sum(seq[i:]); seq[:w] are the entries >= k.
+    suffix = list(accumulate(reversed(seq), initial=0))[::-1]
+    w = n
     prefix = 0
-    # suffix_min[k] = sum_{i>k} min(seq[i], k) computed on the fly per k.
     for k in range(1, n + 1):
         prefix += seq[k - 1]
-        tail = 0
-        for i in range(k, n):
-            tail += min(seq[i], k)
-        if prefix > k * (k - 1) + tail:
+        while w and seq[w - 1] < k:
+            w -= 1
+        # sum(min(d, k) for d in seq[k:]): entries before max(w, k) give k.
+        j = max(w, k)
+        if prefix > k * (k - 1) + k * (j - k) + suffix[j]:
             return False
         if k < n and seq[k] <= k:
             # Remaining prefixes cannot fail once the k-th largest degree

@@ -31,6 +31,7 @@ Each step is deterministic, so certificates are reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -76,23 +77,27 @@ def strip_clique_components(
 
 def _strip(
     g: Graph, profile: PartitionProfile, counter: OpCounter | None = None
-) -> tuple[int, PartitionProfile, list[int]]:
+) -> tuple[int, PartitionProfile, int]:
     """The mask of the vertices outside clique components, the reduced
-    profile and the masks of the clique components."""
-    parts = list(profile.parts)
-    closed = (row | 1 << v for v, row in enumerate(g.adjacency_masks()))
-    removed = clique_classes(closed, counter)
-    covered = 0
-    for clique in removed:
-        q = clique.bit_count()
-        if q not in parts:
+    profile and the mask of the lowest vertex of each clique component."""
+    left = Counter(profile.parts)
+    rows = g.adjacency_masks()
+
+    def closed(v: int) -> int:
+        return rows[v] | 1 << v
+
+    covered = lowest = 0
+    for low, q in clique_classes(g.n, closed, counter):
+        if not left[q]:
             raise ProofStateError(
-                f"clique component of size {q} has no matching part in {parts}"
+                f"clique component of size {q} has no matching part in "
+                f"{sorted(left.elements())}"
             )
-        parts.remove(q)
-        covered |= clique
+        left[q] -= 1
+        covered |= closed(low)
+        lowest |= 1 << low
     kept = ((1 << g.n) - 1) ^ covered
-    return kept, PartitionProfile(tuple(parts), CLIQUE_SIZES), removed
+    return kept, PartitionProfile(tuple(left.elements()), CLIQUE_SIZES), lowest
 
 
 def initial_proof_state(g: Graph, profile: PartitionProfile) -> ProofState:
@@ -225,7 +230,7 @@ def witness_independent_set(
         raise OutsideFamilyError(
             "degree sequence does not match any disjoint clique union"
         )
-    kept, reduced, removed = _strip(g, profile, counter)
+    kept, reduced, lowest = _strip(g, profile, counter)
     if not kept:  # every component is a clique
         raise CanonicalGraphError(
             "graph is the canonical clique union; no larger independent set exists"
@@ -234,7 +239,7 @@ def witness_independent_set(
     state = base_independent_set(state, counter)
     while state.chosen.bit_count() < reduced.k + 1:
         state = extend_independent_set(state, counter)
-    chosen = state.chosen | sum(clique & -clique for clique in removed)
+    chosen = state.chosen | lowest
     certificate = WitnessCertificate(frozenset(iter_bits(chosen)), INDEPENDENT_SET)
     if certificate.size < profile.k + 1:
         raise ProofStateError("constructed witness smaller than required")

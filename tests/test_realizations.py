@@ -186,6 +186,22 @@ def test_enumeration_order_matches_recorded_digest():
     )
 
 
+def test_enumeration_order_at_total_ten_matches_recorded_digest():
+    # Every realization of the profiles with total exactly 10, which the
+    # campaign runs, in emission order.
+    digest = hashlib.sha256()
+    count = 0
+    for profile in iter_profiles(10):
+        if profile.n == 10:
+            for g in enumerate_realizations(profile.degree_sequence()):
+                digest.update(f"{encode_graph6(g)}\n".encode())
+                count += 1
+    assert count == 1848
+    assert digest.hexdigest() == (
+        "3a7ed7c9e218cec2b5bd21bf1ac367a9596cb099bfc4c337846e90409bb82c73"
+    )
+
+
 def test_graph_counts_by_vertex_count():
     # classic counts of graphs up to isomorphism
     expected = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 from kpartite import (
@@ -10,6 +11,7 @@ from kpartite import (
     connected_components,
     cycle_graph,
     degree_sequence,
+    disjoint_union,
     empty_graph,
     induced_subgraph,
     is_clique_union,
@@ -18,6 +20,7 @@ from kpartite import (
     path_graph,
     strip_clique_components,
 )
+from kpartite.recognition import clique_classes
 
 
 def brute_force_is_multipartite(g):
@@ -136,3 +139,22 @@ def test_from_degrees_touch_only_multiplicities():
     counter = OpCounter()
     clique_union_profile_from_degrees(ds, counter=counter)
     assert counter.count == len(ds.multiplicities)
+
+
+def test_clique_classes_are_lowest_member_and_size():
+    g = disjoint_union([path_graph(3), clique_union([2, 1, 3])])
+    rows = g.adjacency_masks()
+    assert clique_classes(g.n, lambda v: rows[v] | 1 << v) == [(3, 2), (5, 1), (6, 3)]
+
+
+def test_recognition_keeps_one_mask_at_a_time():
+    # An edgeless graph: its 20000 closed masks 1 << v take about 27 MB
+    # together, so keeping one at a time stays under 4 MB.
+    g = empty_graph(20000)
+    tracemalloc.start()
+    try:
+        assert is_clique_union(g).parts == (1,) * 20000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -1,5 +1,7 @@
 import hashlib
-from itertools import combinations_with_replacement
+import random
+from collections import Counter
+from itertools import combinations_with_replacement, product
 
 import networkx as nx
 import pytest
@@ -18,7 +20,7 @@ from kpartite import (
     multipartite_profile_from_degrees,
     parse_degree_list,
 )
-from kpartite.sequences import CLIQUE_SIZES, MULTIPARTITE_PARTS
+from kpartite.sequences import CLIQUE_SIZES, MULTIPARTITE_PARTS, _erdos_gallai_sorted
 
 degree_lists = st.lists(st.integers(min_value=0, max_value=12), max_size=12)
 profiles = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5)
@@ -131,6 +133,38 @@ def test_is_graphical_examples():
 @given(degree_lists)
 def test_is_graphical_matches_networkx(values):
     assert is_graphical(DegreeSequence(values)) == nx.is_graphical(values)
+
+
+def _erdos_gallai_every_k(seq):
+    """The Erdos-Gallai inequality transcribed for every k, no early exit."""
+    n = len(seq)
+    return all(
+        sum(seq[:k]) <= k * (k - 1) + sum(min(d, k) for d in seq[k:])
+        for k in range(1, n + 1)
+    )
+
+
+def test_linear_erdos_gallai_matches_every_k_transcription():
+    # Seeded sequences of up to 300 values: uniform, near-complete (degrees
+    # n - 1, n - 2, n - 3) and sparse, sorted non-increasing with even sum.
+    rng = random.Random(2003)
+    verdicts = Counter()
+    for trial in range(1500):
+        n = rng.randint(1, 300 if trial % 10 == 0 else 40)
+        shape = trial % 3
+        if shape == 0:
+            values = [rng.randrange(n) for _ in range(n)]
+        elif shape == 1:
+            values = [max(0, n - 1 - rng.randrange(3)) for _ in range(n)]
+        else:
+            values = [min(n - 1, rng.randrange(4)) for _ in range(n)]
+        if sum(values) % 2:
+            values[0] += 1 if values[0] < n - 1 else -1
+        seq = tuple(sorted(values, reverse=True))
+        verdict = _erdos_gallai_every_k(seq)
+        assert _erdos_gallai_sorted(seq) == verdict, seq
+        verdicts[verdict, n > 40] += 1
+    assert min(verdicts[key] for key in product((False, True), repeat=2)) >= 20
 
 
 def test_parse_degree_list():

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,26 @@ def test_strip_examples():
     c6 = cycle_graph(6)
     remainder, reduced = strip_clique_components(c6, PartitionProfile((3, 3)))
     assert remainder == c6 and reduced.parts == (3, 3)
+
+
+def test_strip_names_the_parts_left_when_a_clique_has_no_part():
+    with pytest.raises(ProofStateError, match=r"size 2 has no matching part in \[1, 3\]$"):
+        strip_clique_components(clique_union([2, 3]), PartitionProfile((1, 3)))
+
+
+def test_strip_keeps_one_mask_at_a_time():
+    # 20000 isolated vertices and a C6: the certificate has 20003 vertices.
+    # The 20000 closed masks of the isolated vertices take about 27 MB
+    # together, so the strip keeps one at a time.
+    g = disjoint_union([Graph(20000), cycle_graph(6)])
+    tracemalloc.start()
+    try:
+        cert = witness_independent_set(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.size == 20003 and validate_certificate(g, cert)
+    assert peak < 4 * 2**20
 
 
 def test_base_independent_set_on_c6():
