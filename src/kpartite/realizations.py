@@ -19,6 +19,7 @@ on every platform.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
@@ -39,24 +40,72 @@ def havel_hakimi_realize(degrees: DegreeSequence) -> Graph:
     By the Havel-Hakimi theorem a round runs out of neighbours exactly when
     the sequence is not graphical, so the rounds are the graphicality test:
     that round raises NonGraphicalError.
+
+    The live vertices sit in buckets by remaining degree, each ascending by
+    index, so the rounds never sort: a round takes whole buckets from the top
+    and a prefix of the last one, and moves each taken group down one bucket.
+    A whole bucket moves as it is; only the two groups at the boundary are
+    merged, by one slice insertion unless they interleave.
     """
-    remaining = list(degrees.sorted(descending=True))
-    rows = [0] * degrees.n
-    alive = [v for v, d in enumerate(remaining) if d > 0]
-    while alive:
-        # Stable sort of an index-ordered list: ties stay lowest index first.
-        order = sorted(alive, key=remaining.__getitem__, reverse=True)
-        v = order[0]
-        need = remaining[v]
-        if need >= len(order):
+    n = degrees.n
+    remaining = degrees.sorted(descending=True)
+    if n and remaining[0] >= n:
+        # The first round would fail; fail before sizing the buckets by it.
+        raise NonGraphicalError(f"{degrees!r} is not graphical")
+    rows = [0] * n
+    buckets: list[list[int]] = [[] for _ in range(max(remaining, default=0) + 1)]
+    for v, d in enumerate(remaining):
+        buckets[d].append(v)
+    live = n - len(buckets[0])
+    top = len(buckets) - 1
+    while live:
+        while not buckets[top]:
+            top -= 1
+        if top >= live:
             raise NonGraphicalError(f"{degrees!r} is not graphical")
-        for u in order[1 : need + 1]:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            remaining[u] -= 1
-        remaining[v] = 0
-        alive = [u for u in alive if remaining[u] > 0]
+        group = buckets[top]
+        v = group.pop(0)
+        live -= 1
+        bit = 1 << v
+        # Walk down from the top bucket: bucket d keeps its untaken vertices
+        # plus the group taken from bucket d + 1, which lost one degree.
+        left = d = top
+        moved: list[int] = []
+        while left:
+            if left >= len(group):
+                taken = group
+                buckets[d] = moved
+            else:
+                taken = group[:left]
+                del group[:left]
+                _merge_into(group, moved)
+            left -= len(taken)
+            row = rows[v]
+            for u in taken:
+                rows[u] |= bit
+                row |= 1 << u
+            rows[v] = row
+            moved = taken
+            d -= 1
+            group = buckets[d]
+        if d:
+            _merge_into(group, moved)
+        else:  # the last group taken has no degree left
+            live -= len(moved)
     return Graph._from_rows(tuple(rows))
+
+
+def _merge_into(group: list[int], moved: list[int]) -> None:
+    """Merge ``moved`` into ``group``, both ascending: one slice insertion
+    when ``moved`` fits between two neighbours of ``group``."""
+    if not moved:
+        return
+    at = bisect(group, moved[0])
+    if at == bisect(group, moved[-1], at):
+        group[at:at] = moved
+    else:
+        group += moved
+        group.sort()
 
 
 def enumerate_realizations(degrees: DegreeSequence) -> Iterator[Graph]:

@@ -14,14 +14,16 @@ family when the returned classes cover all its vertices.
 
 The rule builds one ``n``-bit mask at a time and keeps one count per vertex:
 ``O(n)`` mask builds and comparisons of ``O(n / w)`` machine words each for
-word size ``w``, and ``O(n)`` extra memory.  Combined with the
-degree-multiplicity tests in :mod:`kpartite.sequences` this covers the four
-membership questions for a graph or its degree sequence.
+word size ``w``, and ``O(n)`` extra memory.  An isolated vertex passes 0 for
+its closed neighbourhood, so clique unions build masks only for vertices
+with neighbours.  Combined with the degree-multiplicity tests in
+:mod:`kpartite.sequences` this covers the four membership questions for a
+graph or its degree sequence.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from .graph import Graph
 from .instrument import OpCounter
@@ -33,7 +35,8 @@ def clique_classes(
 ) -> list[tuple[int, int]]:
     """``(lowest member, size)`` of every mask that occurs exactly as often as
     it has set bits, by ascending lowest member.  ``closed(v)`` is vertex
-    ``v``'s mask, which contains ``v``; ``counter`` counts one step per vertex.
+    ``v``'s mask, which contains ``v``, or 0 when that mask is ``v`` alone;
+    ``counter`` counts one step per vertex.
 
     Each vertex is counted under the lowest member of its mask when that
     member holds the same mask, so only one mask is alive at a time.
@@ -41,12 +44,21 @@ def clique_classes(
     held = [0] * n
     for v in range(n):
         mask = closed(v)
-        low = (mask & -mask).bit_length() - 1
+        low = (mask & -mask).bit_length() - 1 if mask else v
         if low == v or closed(low) == mask:
             held[low] += 1
     if counter is not None:
         counter.bump(n)
-    return [(v, h) for v, h in enumerate(held) if h and h == closed(v).bit_count()]
+    return [
+        (v, h) for v, h in enumerate(held) if h and h == (closed(v).bit_count() or 1)
+    ]
+
+
+def closed_neighbourhoods(rows: Sequence[int]) -> Callable[[int], int]:
+    """``closed`` for :func:`clique_classes` on a graph's ``rows``: ``v``'s
+    closed neighbourhood, or 0 for an isolated vertex, so no ``v``-bit mask
+    is built for it."""
+    return lambda v: rows[v] and rows[v] | 1 << v
 
 
 def _covering_profile(
@@ -70,5 +82,5 @@ def is_clique_union(
     g: Graph, counter: OpCounter | None = None
 ) -> PartitionProfile | None:
     """Clique sizes if every connected component of ``g`` is complete, else None."""
-    rows = g.adjacency_masks()
-    return _covering_profile(g.n, lambda v: rows[v] | 1 << v, CLIQUE_SIZES, counter)
+    closed = closed_neighbourhoods(g.adjacency_masks())
+    return _covering_profile(g.n, closed, CLIQUE_SIZES, counter)

@@ -39,7 +39,7 @@ from .errors import CanonicalGraphError, OutsideFamilyError, ProofStateError
 from .exact import CLIQUE, INDEPENDENT_SET, WitnessCertificate, _greedy_independent
 from .graph import Graph, complement, degree_sequence, induced_subgraph, iter_bits
 from .instrument import OpCounter
-from .recognition import clique_classes
+from .recognition import clique_classes, closed_neighbourhoods
 from .sequences import CLIQUE_SIZES, PartitionProfile, clique_union_profile_from_degrees
 
 
@@ -72,50 +72,50 @@ def strip_clique_components(
     matching part per removal.  The remainder is degree-equivalent to the
     reduced profile and has no clique components."""
     kept, reduced, _ = _strip(g, profile)
-    return induced_subgraph(g, iter_bits(kept)), reduced
+    return induced_subgraph(g, kept), reduced
 
 
 def _strip(
     g: Graph, profile: PartitionProfile, counter: OpCounter | None = None
-) -> tuple[int, PartitionProfile, int]:
-    """The mask of the vertices outside clique components, the reduced
-    profile and the mask of the lowest vertex of each clique component."""
+) -> tuple[list[int], PartitionProfile, list[int]]:
+    """The vertices outside clique components, the reduced profile and the
+    lowest vertex of each clique component, all ascending."""
     left = Counter(profile.parts)
     rows = g.adjacency_masks()
-
-    def closed(v: int) -> int:
-        return rows[v] | 1 << v
-
-    covered = lowest = 0
-    for low, q in clique_classes(g.n, closed, counter):
+    lowest = []
+    covered = bytearray(g.n)
+    for low, q in clique_classes(g.n, closed_neighbourhoods(rows), counter):
         if not left[q]:
             raise ProofStateError(
                 f"clique component of size {q} has no matching part in "
                 f"{sorted(left.elements())}"
             )
         left[q] -= 1
-        covered |= closed(low)
-        lowest |= 1 << low
-    kept = ((1 << g.n) - 1) ^ covered
+        lowest.append(low)
+        # The component is its lowest vertex and that vertex's neighbours.
+        covered[low] = 1
+        for u in iter_bits(rows[low]):
+            covered[u] = 1
+    kept = [v for v, c in enumerate(covered) if not c]
     return kept, PartitionProfile(tuple(left.elements()), CLIQUE_SIZES), lowest
 
 
 def initial_proof_state(g: Graph, profile: PartitionProfile) -> ProofState:
     """State for a stripped graph: layers assigned, no vertices chosen yet."""
-    return _proof_state(g.adjacency_masks(), (1 << g.n) - 1, profile)
+    return _proof_state(g.adjacency_masks(), range(g.n), profile)
 
 
 def _proof_state(
-    rows: tuple[int, ...], kept: int, profile: PartitionProfile
+    rows: tuple[int, ...], kept: Iterable[int], profile: PartitionProfile
 ) -> ProofState:
-    """State on the host's ``rows``.  The layers split ``kept`` (components,
-    none a clique) by the sorted part sizes: the layer for size a takes a
-    vertices of degree a - 1, in index order."""
+    """State on the host's ``rows``.  The layers split the ascending ``kept``
+    vertices (components, none a clique) by the sorted part sizes: the layer
+    for size a takes a vertices of degree a - 1, in index order."""
     parts = profile.parts
     if not parts:
         raise ProofStateError("empty profile; graph was fully stripped")
     by_degree: dict[int, list[int]] = {}
-    for v in iter_bits(kept):
+    for v in kept:
         by_degree.setdefault(rows[v].bit_count(), []).append(v)
     layers: list[tuple[int, ...]] = []
     cursor: dict[int, int] = {}
@@ -239,8 +239,8 @@ def witness_independent_set(
     state = base_independent_set(state, counter)
     while state.chosen.bit_count() < reduced.k + 1:
         state = extend_independent_set(state, counter)
-    chosen = state.chosen | lowest
-    certificate = WitnessCertificate(frozenset(iter_bits(chosen)), INDEPENDENT_SET)
+    chosen = frozenset([*iter_bits(state.chosen), *lowest])
+    certificate = WitnessCertificate(chosen, INDEPENDENT_SET)
     if certificate.size < profile.k + 1:
         raise ProofStateError("constructed witness smaller than required")
     return certificate

@@ -86,6 +86,110 @@ def test_havel_hakimi_output_matches_recorded_digest():
     )
 
 
+def _sort_every_round_realize(degrees: DegreeSequence) -> tuple[int, ...]:
+    """Havel-Hakimi as written before the degree buckets: every round sorts
+    the live vertices again.  The oracle for the bucket version's rows."""
+    remaining = list(degrees.sorted(descending=True))
+    rows = [0] * degrees.n
+    alive = [v for v, d in enumerate(remaining) if d > 0]
+    while alive:
+        order = sorted(alive, key=remaining.__getitem__, reverse=True)
+        v = order[0]
+        need = remaining[v]
+        if need >= len(order):
+            raise NonGraphicalError(f"{degrees!r} is not graphical")
+        for u in order[1 : need + 1]:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            remaining[u] -= 1
+        remaining[v] = 0
+        alive = [u for u in alive if remaining[u] > 0]
+    return tuple(rows)
+
+
+def _realize_outcome(realize, degrees: list[int]):
+    """Rows of the realization, or the NonGraphicalError text."""
+    target = DegreeSequence(degrees)
+    try:
+        realized = realize(target)
+    except NonGraphicalError as error:
+        return str(error)
+    return realized if isinstance(realized, tuple) else realized.adjacency_masks()
+
+
+def test_havel_hakimi_matches_sort_every_round_rule():
+    draw = random.Random(20261019).random
+
+    def clique_union_degrees(n: int) -> list[int]:
+        sizes: list[int] = []
+        while sum(sizes) < n:
+            sizes.append(min(n - sum(sizes), 1 + int(draw() * 25)))
+        return [a - 1 for a in sizes for _ in range(a)]
+
+    def gnp_degrees(n: int, p: float) -> list[int]:
+        degrees = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if draw() < p:
+                    degrees[u] += 1
+                    degrees[v] += 1
+        return degrees
+
+    def tied_degrees(n: int, values: int) -> list[int]:
+        # A few degrees, each shared by many vertices: most rounds take part
+        # of a tied group, so the rest of it meets the taken part one bucket
+        # lower.
+        pool = [1 + int(draw() * (n - 1)) for _ in range(values)]
+        degrees = [pool[int(draw() * values)] for _ in range(n)]
+        degrees[0] += sum(degrees) % 2 * (1 if degrees[0] < n - 1 else -1)
+        return degrees
+
+    graphical = [
+        *(clique_union_degrees(n) for n in (10, 100, 700, 2000)),
+        *(gnp_degrees(n, p) for n, p in ((40, 0.5), (300, 0.05), (300, 0.5))),
+        gnp_degrees(1200, 0.01),
+        *([n // 2] * n for n in (1000, 2000)),
+        *([n - 2] * n for n in (1000, 2000)),
+    ]
+    tied = [tied_degrees(n, k) for n in (20, 200, 1000) for k in (2, 3, 5)]
+    unit_moved = []
+    while len(unit_moved) < 6:
+        # One degree unit moved between two vertices keeps the sum even.
+        n = 6 + int(draw() * 40)
+        degrees = gnp_degrees(n, draw())
+        i, j = int(draw() * n), int(draw() * n)
+        if i != j and degrees[i] > 0 and degrees[j] < n - 1:
+            degrees[i] -= 1
+            degrees[j] += 1
+            if not is_graphical(DegreeSequence(degrees)):
+                unit_moved.append(degrees)
+    non_graphical = [
+        # Odd sums.
+        [4] * 1000 + [3, 1, 1, 1, 1],
+        clique_union_degrees(1500) + [1],
+        [499] * 999,
+        [999] * 1001,
+        # A degree of at least n, and an even sum.
+        [6, 2, 1, 1, 1, 1],
+        [2000, 2] + [1] * 1998,
+        # (k, k, 1, ..., 1) with k ones, k even: the first round takes the
+        # other k and k - 1 ones, and the second, last round runs short.
+        *([k, k] + [1] * k for k in (4, 10, 1000)),
+        *unit_moved,
+    ]
+
+    def fails(degrees: list[int]) -> bool:
+        expected = _realize_outcome(_sort_every_round_realize, degrees)
+        assert _realize_outcome(havel_hakimi_realize, degrees) == expected
+        assert isinstance(expected, str) != is_graphical(DegreeSequence(degrees))
+        return isinstance(expected, str)
+
+    assert not any(map(fails, graphical))
+    assert all(map(fails, non_graphical))
+    tied_failures = sum(map(fails, tied))
+    assert 0 < tied_failures < len(tied)
+
+
 def test_enumerate_two_regular_six():
     graphs = list(enumerate_realizations(DegreeSequence([2] * 6)))
     assert len(graphs) == 2
