@@ -7,19 +7,22 @@ neighbor-degree signatures).
 
 One search serves both uses: given an incumbent ordering's column segments,
 a depth-first search returns the first ordering with a smaller code, or
-None.  It tries candidates in ascending column order, cuts any prefix that
-rises above the incumbent, and places only one vertex of each class of
-interchangeable (twin) vertices, which keeps highly symmetric graphs cheap.
-The orderly enumerator accepts a labeling when nothing beats it;
-``canonical_key`` starts from the rank-sorted ordering and replaces the
-incumbent until nothing is smaller, which reaches the unique minimum code.
+None.  It walks only prefixes whose segments equal the incumbent's, holding
+the candidates of a position as a bitmask: one pass over the placed rows
+splits them into those whose column equals the incumbent's segment and
+those already below it.  Any vertex below ends the search, which completes
+the ordering greedily; otherwise it recurses into the equal ones, placing
+only one vertex of each class of interchangeable (twin) vertices, which
+keeps highly symmetric graphs cheap.  The orderly enumerator accepts a
+labeling when nothing beats it; ``canonical_key`` starts from the
+rank-sorted ordering and replaces the incumbent until nothing is smaller,
+which reaches the unique minimum code.
 
 Intended for small graphs; hard cap of 12 vertices.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Sequence
 
 from .errors import GraphTooLargeError
@@ -52,19 +55,22 @@ def _refine_ranks(
         ranks = new
 
 
-def _twin_classes(masks: tuple[int, ...]) -> list[int]:
-    """Class key per vertex; two vertices share a key exactly when they have
-    equal open or equal closed neighborhoods, so swapping them is a graph
-    automorphism.
+def _twin_masks(masks: tuple[int, ...]) -> list[int]:
+    """Per vertex, the mask of its twins: the vertices with an equal open or
+    an equal closed neighborhood, so that swapping the two is a graph
+    automorphism.  The vertex itself is included.
 
-    A vertex with an equal-row (non-adjacent) twin is keyed by its row, any
-    other by its closed row.  No vertex has both kinds of twin: if u and v
-    share a row and w is an adjacent twin of v, then w lies in N(v) = N(u),
-    so u lies in N[w] = N[v], which puts u in its own row.  A row never
-    equals a closed row either, since no row holds its own vertex.
+    No vertex has both kinds of twin: if u and v share a row and w is an
+    adjacent twin of v, then w lies in N(v) = N(u), so u lies in N[w] = N[v],
+    which puts u in its own row.  So being twins is an equivalence relation,
+    and each mask is the vertex's class.
     """
-    rows = Counter(masks)
-    return [mv if rows[mv] > 1 else mv | 1 << v for v, mv in enumerate(masks)]
+    opened: dict[int, int] = {}
+    closed: dict[int, int] = {}
+    for v, mv in enumerate(masks):
+        opened[mv] = opened.get(mv, 0) | 1 << v
+        closed[mv | 1 << v] = closed.get(mv | 1 << v, 0) | 1 << v
+    return [opened[mv] | closed[mv | 1 << v] for v, mv in enumerate(masks)]
 
 
 def _column(mv: int, placed: Iterable[int]) -> int:
@@ -75,43 +81,93 @@ def _column(mv: int, placed: Iterable[int]) -> int:
     return seg
 
 
+def _least_column(cands: int, placed: list[int]) -> tuple[int, int]:
+    """``(column, bit)`` of the member of mask ``cands`` with the least
+    column against the ``placed`` rows, lowest index on ties: position by
+    position, keep the members not adjacent there, if there are any."""
+    seg = 0
+    for row in placed:
+        apart = cands & ~row
+        seg <<= 1
+        if apart:
+            cands = apart
+        else:
+            seg |= 1
+    return seg, cands & -cands
+
+
 def _search_min_segments(
     masks: tuple[int, ...], ranks: tuple[int, ...], incumbent: Sequence[int]
 ) -> list[int] | None:
     """Column segments of the first rank-respecting ordering, in search
     order, whose adjacency code is smaller than ``incumbent``'s; None when
     no ordering beats it.
+
+    The search walks only tight prefixes, whose segments equal the
+    incumbent's.  At a tight node one pass over the placed rows, first
+    placed (most significant) first, splits the unused vertices of the
+    position's rank into ``eq``, whose column so far equals
+    ``incumbent[depth]``, and ``lt``, already below it: where the
+    incumbent's bit is 1, the members of ``eq`` not adjacent to that placed
+    vertex move to ``lt``; where it is 0, the adjacent ones drop out.
+
+    A nonzero ``lt`` ends the search with the ordering that a search over
+    sorted ``(column, vertex)`` candidates reaches first: every completion
+    of a smaller prefix is smaller, so that search takes the least
+    candidate at each later position (:func:`_least_column`).  Otherwise
+    the search recurses into ``eq`` in ascending index, the sorted order
+    among equal columns, one vertex per twin class (:func:`_twin_masks`):
+    unused twins have equal columns, and an automorphism that fixes the
+    prefix swaps their subtrees.
     """
     n = len(masks)
-    rank_seq = sorted(ranks)
-    twin = _twin_classes(masks)
+    by_rank: dict[int, int] = {}
+    for v, rank in enumerate(ranks):
+        by_rank[rank] = by_rank.get(rank, 0) | 1 << v
+    slots = [by_rank[rank] for rank in sorted(ranks)]
+    twins = _twin_masks(masks)
     placed: list[int] = []
-    segs: list[int] = []
 
-    def dfs(depth: int, used: int, tight: bool) -> bool:
-        # ``tight``: the segments so far equal the incumbent's.
+    def dfs(depth: int, unused: int) -> list[int] | None:
         if depth == n:
-            return not tight
-        seen_twins: set[int] = set()
-        cands = []
-        for v in range(n):
-            if used >> v & 1 or ranks[v] != rank_seq[depth] or twin[v] in seen_twins:
-                continue
-            seen_twins.add(twin[v])
-            cands.append((_column(masks[v], placed), v))
-        cands.sort()
-        for seg, v in cands:
-            if tight and seg > incumbent[depth]:
+            return None
+        eq = unused & slots[depth]
+        lt = 0
+        target = incumbent[depth]
+        shift = depth
+        for row in placed:
+            shift -= 1
+            if target >> shift & 1:
+                lt |= eq & ~row
+                eq &= row
+            else:
+                eq &= ~row
+            if not eq:
                 break
-            placed.append(v)
-            segs.append(seg)
-            if dfs(depth + 1, used | 1 << v, tight and seg == incumbent[depth]):
-                return True
+        if lt:
+            segs = list(incumbent[:depth])
+            cands = lt
+            while True:
+                seg, bit = _least_column(cands, placed)
+                segs.append(seg)
+                placed.append(masks[bit.bit_length() - 1])
+                unused ^= bit
+                depth += 1
+                if depth == n:
+                    return segs
+                cands = unused & slots[depth]
+        while eq:
+            bit = eq & -eq
+            v = bit.bit_length() - 1
+            eq &= ~twins[v]
+            placed.append(masks[v])
+            found = dfs(depth + 1, unused ^ bit)
+            if found is not None:
+                return found
             placed.pop()
-            segs.pop()
-        return False
+        return None
 
-    return segs if dfs(0, 0, True) else None
+    return dfs(0, (1 << n) - 1)
 
 
 def compose_code(segments: list[int]) -> int:

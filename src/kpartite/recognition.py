@@ -1,24 +1,27 @@
 """Recognition of complete multipartite graphs and clique unions.
 
-Both families are read off one counting rule, :func:`clique_classes`.  Give
-every vertex a mask that contains the vertex itself; a mask ``M`` that occurs
-exactly ``|M|`` times is held by ``|M|`` distinct vertices, each inside ``M``,
-so it is held by exactly its own members, its lowest member among them.
-Applied to the closed neighbourhoods ``row | 1 << v``, every member of such
-an ``M`` is adjacent to the rest of ``M`` and to nothing outside it: ``M`` is
-a clique component, and every clique component qualifies.  A complete
-k-partite graph is the complement of a union of k cliques, and ``full ^ row``
-is the closed neighbourhood in the complement, so the same rule on those
-masks returns the parts without building the complement.  A graph is in the
-family when the returned classes cover all its vertices.
+Each family is read off a counting rule that keeps one count per vertex.
 
-The rule builds one ``n``-bit mask at a time and keeps one count per vertex:
-``O(n)`` mask builds and comparisons of ``O(n / w)`` machine words each for
-word size ``w``, and ``O(n)`` extra memory.  An isolated vertex passes 0 for
-its closed neighbourhood, so clique unions build masks only for vertices
-with neighbours.  Combined with the degree-multiplicity tests in
-:mod:`kpartite.sequences` this covers the four membership questions for a
-graph or its degree sequence.
+Clique unions, :func:`clique_classes`: give every vertex a mask that contains
+the vertex itself; a mask ``M`` that occurs exactly ``|M|`` times is held by
+``|M|`` distinct vertices, each inside ``M``, so it is held by exactly its
+own members, its lowest member among them.  Applied to the closed
+neighbourhoods ``row | 1 << v``, every member of such an ``M`` is adjacent to
+the rest of ``M`` and to nothing outside it: ``M`` is a clique component, and
+every clique component qualifies.  An isolated vertex passes 0 for its closed
+neighbourhood, so the rule builds masks only for vertices with neighbours.
+
+Complete multipartite graphs, :func:`is_complete_multipartite`: two vertices
+share a part exactly when their rows are equal, so every row ``r`` must be
+held by exactly ``n - |r|`` vertices.  That suffices: no holder of ``r`` lies
+in ``r``, so the holders are exactly the ``n - |r|`` vertices outside ``r``,
+an independent set joined to every other vertex.  The rows are compared as
+they are; no complement mask is built.
+
+Both rules take ``O(n)`` comparisons or mask builds of ``O(n / w)`` machine
+words each, for word size ``w``, and ``O(n)`` extra memory.  Combined with
+the degree-multiplicity tests in :mod:`kpartite.sequences` this covers the
+four membership questions for a graph or its degree sequence.
 """
 
 from __future__ import annotations
@@ -61,21 +64,27 @@ def closed_neighbourhoods(rows: Sequence[int]) -> Callable[[int], int]:
     return lambda v: rows[v] and rows[v] | 1 << v
 
 
-def _covering_profile(
-    n: int, closed: Callable[[int], int], flavor: str, counter: OpCounter | None
-) -> PartitionProfile | None:
-    sizes = [size for _, size in clique_classes(n, closed, counter)]
-    return PartitionProfile(tuple(sizes), flavor) if sum(sizes) == n else None
-
-
 def is_complete_multipartite(
     g: Graph, counter: OpCounter | None = None
 ) -> PartitionProfile | None:
-    """Part sizes if ``g`` is complete multipartite, else None: the parts are
-    the clique components of the complement."""
-    full = (1 << g.n) - 1
+    """Part sizes if ``g`` is complete multipartite, else None.
+
+    Each vertex is counted under the lowest vertex outside its row (the
+    lowest member of its part) when that vertex holds the same row;
+    ``counter`` counts one step per vertex.
+    """
+    n = g.n
     rows = g.adjacency_masks()
-    return _covering_profile(g.n, lambda v: full ^ rows[v], MULTIPARTITE_PARTS, counter)
+    held = [0] * n
+    for v, row in enumerate(rows):
+        # ``row ^ (row + 1)`` is the trailing ones plus the lowest zero bit.
+        low = (row ^ (row + 1)).bit_length() - 1
+        if rows[low] == row:
+            held[low] += 1
+    if counter is not None:
+        counter.bump(n)
+    sizes = [h for v, h in enumerate(held) if h and h == n - rows[v].bit_count()]
+    return PartitionProfile(tuple(sizes), MULTIPARTITE_PARTS) if sum(sizes) == n else None
 
 
 def is_clique_union(
@@ -83,4 +92,5 @@ def is_clique_union(
 ) -> PartitionProfile | None:
     """Clique sizes if every connected component of ``g`` is complete, else None."""
     closed = closed_neighbourhoods(g.adjacency_masks())
-    return _covering_profile(g.n, closed, CLIQUE_SIZES, counter)
+    sizes = [size for _, size in clique_classes(g.n, closed, counter)]
+    return PartitionProfile(tuple(sizes), CLIQUE_SIZES) if sum(sizes) == g.n else None

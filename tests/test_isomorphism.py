@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -23,6 +24,12 @@ from kpartite import (
     max_independent_set,
     path_graph,
     petersen_graph,
+)
+from kpartite.isomorphism import (
+    _column,
+    _ranks_by_descending_value,
+    _refine_ranks,
+    _search_min_segments,
 )
 
 from .conftest import graphs_strategy, random_graph, random_graph_corpus
@@ -107,6 +114,96 @@ def test_canonical_keys_match_recorded_digest():
     assert digest.hexdigest() == (
         "3845ea4f351ddcfcaab55c7c84e1e3c275016989cf58f0a04343e4b04de7014d"
     )
+
+
+def _candidate_list_search(masks, ranks, incumbent):
+    """The canonicity search as written before the bit-parallel pass: each
+    node builds every candidate's column, sorts the ``(column, vertex)``
+    list and skips a vertex whose twin class it already tried.  The oracle
+    for ``_search_min_segments``."""
+    n = len(masks)
+    rank_seq = sorted(ranks)
+    rows = Counter(masks)
+    twin = [mv if rows[mv] > 1 else mv | 1 << v for v, mv in enumerate(masks)]
+    placed: list[int] = []
+    segs: list[int] = []
+
+    def dfs(depth, used, tight):
+        if depth == n:
+            return not tight
+        seen_twins = set()
+        cands = []
+        for v in range(n):
+            if used >> v & 1 or ranks[v] != rank_seq[depth] or twin[v] in seen_twins:
+                continue
+            seen_twins.add(twin[v])
+            cands.append((_column(masks[v], placed), v))
+        cands.sort()
+        for seg, v in cands:
+            if tight and seg > incumbent[depth]:
+                break
+            placed.append(v)
+            segs.append(seg)
+            if dfs(depth + 1, used | 1 << v, tight and seg == incumbent[depth]):
+                return True
+            placed.pop()
+            segs.pop()
+        return False
+
+    return segs if dfs(0, 0, True) else None
+
+
+def _twin_rich_graph(n, rng):
+    """Each vertex takes one of a few types; two vertices are adjacent when
+    their types are, and a type is a clique or an independent set, so most
+    vertices have open or closed twins."""
+    k = int(rng.integers(1, 5))
+    types = rng.integers(0, k, n)
+    joined = rng.random((k, k)) < 0.5
+    joined = joined | joined.T
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if joined[types[u], types[v]]
+    ]
+    return Graph(n, edges)
+
+
+def test_search_matches_candidate_list_dfs():
+    # Seeded graphs with 1-11 vertices, half of them twin-rich.  Ranks as the
+    # enumerator passes them (sorted target-degree ranks of another degree
+    # vector) and as canonical_key does (refined, unsorted); incumbents are
+    # the own labeling and random rank-respecting orderings.
+    rng = np.random.Generator(np.random.PCG64(1998))
+    outcomes = Counter()
+    for trial in range(8000):
+        n = int(rng.integers(1, 12))
+        if trial % 2:
+            g = _twin_rich_graph(n, rng)
+        else:
+            g = random_graph(n, float(rng.uniform(0.05, 0.95)), rng)
+        masks = g.adjacency_masks()
+        targets = tuple(sorted(rng.integers(0, n, n).tolist(), reverse=True))
+        refined = _refine_ranks(n, masks, _ranks_by_descending_value(g.degrees()))
+        own = [_column(masks[v], range(v)) for v in range(n)]
+        for ranks in (_ranks_by_descending_value(targets), refined):
+            incumbents = [own]
+            for _ in range(2):
+                tiebreak = rng.random(n)
+                order = sorted(range(n), key=lambda v: (ranks[v], tiebreak[v]))
+                incumbents.append(
+                    [_column(masks[v], order[:depth]) for depth, v in enumerate(order)]
+                )
+            for incumbent in incumbents:
+                expected = _candidate_list_search(masks, ranks, incumbent)
+                assert _search_min_segments(masks, ranks, incumbent) == expected, (
+                    g.edges(),
+                    ranks,
+                    incumbent,
+                )
+                outcomes[expected is None] += 1
+    assert outcomes[True] >= 10000 and outcomes[False] >= 10000, outcomes
 
 
 def test_size_cap():

@@ -149,11 +149,13 @@ def test_clique_classes_are_lowest_member_and_size():
 
 def test_recognition_keeps_one_mask_at_a_time():
     # An edgeless graph: its 20000 closed masks 1 << v take about 27 MB
-    # together, so keeping one at a time stays under 4 MB.
+    # together, so keeping one at a time stays under 4 MB.  The multipartite
+    # rule builds no mask and keeps one count per vertex.
     g = empty_graph(20000)
     tracemalloc.start()
     try:
         assert is_clique_union(g).parts == (1,) * 20000
+        assert is_complete_multipartite(g).parts == (20000,)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
