@@ -231,42 +231,71 @@ def random_switch_walk(g: Graph, steps: int, seed: int) -> Graph:
     edge slot is ``int(random() * count)`` (non-uniform by less than
     count / 2**53) and the rewiring coin is ``random() < 0.5``.  A graph with
     more than half of all possible edges is walked on its complement and the
-    walk's endpoint complemented back.  Negative seeds raise ValueError.
-    Every visited graph has the degree sequence of ``g``.
+    walk's endpoint complemented back.  Negative seeds and negative step
+    counts raise ValueError.  Every visited graph has the degree sequence of
+    ``g``.
+
+    Slot i holds the edge ``(tails[i], heads[i])``, tail below head, and
+    the edge set is kept as packed keys ``tail * n + head``: a proposal
+    costs a few comparisons and at most two set lookups, and no row is
+    touched until the result is built from the final slots.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     if 4 * g.m > g.n * (g.n - 1):
         # More than half of all pairs are edges, so almost every proposal
         # would hit an existing edge.  A 2-switch of the complement is a
         # 2-switch of ``g``, so walk the sparser complement instead.
         return complement(random_switch_walk(complement(g), steps, seed))
     draw = random.Random(seed).random
+    n = g.n
     edges = g.edges()
-    rows = list(g.adjacency_masks())
+    tails = [u for u, _ in edges]
+    heads = [v for _, v in edges]
+    present = {u * n + v for u, v in edges}
     m = len(edges)
-    for _ in range(steps):
-        if m < 2:
-            break
+    for _ in range(steps if m >= 2 else 0):
         i = int(draw() * m)
         j = int(draw() * (m - 1))
         if j >= i:
             j += 1
-        a, b = edges[i]
-        c, d = edges[j]
-        if len({a, b, c, d}) != 4:
+        a = tails[i]
+        b = heads[i]
+        c = tails[j]
+        d = heads[j]
+        if a == c or a == d or b == c or b == d:
             continue
+        # Rewire to (a, x) and (b, y).
         if draw() < 0.5:
-            new1, new2 = (a, c), (b, d)
+            x, y = c, d
         else:
-            new1, new2 = (a, d), (b, c)
-        if (rows[new1[0]] >> new1[1]) & 1 or (rows[new2[0]] >> new2[1]) & 1:
+            x, y = d, c
+        if a < x:
+            t1, h1 = a, x
+        else:
+            t1, h1 = x, a
+        if b < y:
+            t2, h2 = b, y
+        else:
+            t2, h2 = y, b
+        key1 = t1 * n + h1
+        key2 = t2 * n + h2
+        if key1 in present or key2 in present:
             continue
-        for u, v in ((a, b), (c, d), new1, new2):
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
-        edges[i] = tuple(sorted(new1))
-        edges[j] = tuple(sorted(new2))
+        present.remove(a * n + b)
+        present.remove(c * n + d)
+        present.add(key1)
+        present.add(key2)
+        tails[i] = t1
+        heads[i] = h1
+        tails[j] = t2
+        heads[j] = h2
+    rows = [0] * n
+    for u, v in zip(tails, heads):
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
     return Graph._from_rows(tuple(rows))
 
 

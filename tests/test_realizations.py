@@ -32,6 +32,7 @@ from kpartite import (
     random_switch_walk,
     two_switch,
 )
+from kpartite.cli import main
 from kpartite.realizations import inverse_step
 
 from .conftest import all_graphs_up_to_iso
@@ -423,6 +424,111 @@ def test_random_walk_visits_other_class_member():
         for s in range(30)
     )
     assert hits > 0
+
+
+def test_random_walk_rejects_negative_steps(tmp_path, capsys):
+    with pytest.raises(ValueError, match="steps"):
+        random_switch_walk(cycle_graph(6), steps=-3, seed=1)
+    path = tmp_path / "c6.g6"
+    path.write_text(encode_graph6(cycle_graph(6)) + "\n")
+    code = main(["sample", "--input", str(path), "--steps", "-3", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "steps" in captured.err
+
+
+def _rows_walk(g: Graph, steps: int, seed: int) -> Graph:
+    """The 2-switch walk as written before the edge-key set: each edge slot
+    is a sorted tuple, and duplicates are found in the n-bit rows, which
+    every accepted step updates.  The oracle for the set-backed walk."""
+    if 4 * g.m > g.n * (g.n - 1):
+        return complement(_rows_walk(complement(g), steps, seed))
+    draw = random.Random(seed).random
+    edges = g.edges()
+    rows = list(g.adjacency_masks())
+    m = len(edges)
+    for _ in range(steps):
+        if m < 2:
+            break
+        i = int(draw() * m)
+        j = int(draw() * (m - 1))
+        if j >= i:
+            j += 1
+        a, b = edges[i]
+        c, d = edges[j]
+        if len({a, b, c, d}) != 4:
+            continue
+        if draw() < 0.5:
+            new1, new2 = (a, c), (b, d)
+        else:
+            new1, new2 = (a, d), (b, c)
+        if (rows[new1[0]] >> new1[1]) & 1 or (rows[new2[0]] >> new2[1]) & 1:
+            continue
+        for u, v in ((a, b), (c, d), new1, new2):
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        edges[i] = tuple(sorted(new1))
+        edges[j] = tuple(sorted(new2))
+    return Graph._from_rows(tuple(rows))
+
+
+def _walk_cases() -> list[tuple[Graph, int, int]]:
+    """Seeded ``(graph, steps, seed)`` inputs: G(n, p) for n = 2..60 with p
+    from 0.05 to 0.95, so that both the direct and the complement walk run;
+    a star and a near-complete graph, where almost every proposal is
+    rejected; 0, 1 and 2 edges; a perfect matching; half and just over half
+    of all pairs; and relabelled clique unions with their complements, at
+    500 vertices, with one sparse member at 8000."""
+    rng = random.Random(20261020)
+    draw = rng.random
+
+    def member(n: int) -> Graph:
+        sizes: list[int] = []
+        while sum(sizes) < n:
+            sizes.append(min(n - sum(sizes), rng.randint(1, 8)))
+        label = list(range(n))
+        rng.shuffle(label)
+        return Graph(n, [(label[u], label[v]) for u, v in clique_union(sizes).edges()])
+
+    graphs = []
+    for n in range(2, 61):
+        p = 0.05 + 0.9 * (n - 2) / 58
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if draw() < p]))
+    near_complete = [e for e in combinations(range(40), 2) if e not in ((0, 1), (2, 3))]
+    # A graph with exactly half of all pairs as edges is walked directly;
+    # with one edge more, on its complement.
+    pairs = list(combinations(range(12), 2))
+    rng.shuffle(pairs)
+    graphs += [
+        Graph(30, [(0, v) for v in range(1, 30)]),
+        Graph(40, near_complete),
+        Graph(9),
+        Graph(9, [(2, 7)]),
+        Graph(9, [(2, 7), (3, 5)]),
+        Graph(40, [(v, v + 1) for v in range(0, 40, 2)]),
+        Graph(12, pairs[:33]),
+        Graph(12, pairs[:34]),
+    ]
+    sparse = member(500)
+    graphs += [sparse, complement(sparse), member(8000)]
+    cases = [(g, 0, 5) for g in graphs[:3]]
+    cases += [(g, rng.randint(1, 5000), rng.randrange(2**31)) for g in graphs]
+    return cases + [(graphs[-1], 5000, 17)]
+
+
+def test_random_walk_matches_rows_walk():
+    digest = hashlib.sha256()
+    moved = 0
+    for g, steps, seed in _walk_cases():
+        walked = random_switch_walk(g, steps, seed)
+        assert walked.adjacency_masks() == _rows_walk(g, steps, seed).adjacency_masks()
+        assert degree_sequence(walked) == degree_sequence(g)
+        moved += walked != g
+        digest.update(f"{encode_graph6(walked)}\n".encode())
+    assert moved >= 60
+    # Recorded with the rows-based walk: the seeded endpoints are unchanged.
+    assert digest.hexdigest() == (
+        "d4afd0c7d8ae33cd2034ddea4ad466822c0fe92e17b2aa321178713421e28db0"
+    )
 
 
 def test_four_copies_examples():
