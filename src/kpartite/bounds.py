@@ -29,11 +29,9 @@ REPORT_SCHEMA_VERSION = 1
 
 
 def caro_wei(degrees: DegreeSequence) -> Fraction:
-    """Independence bound: sum of 1/(d_i + 1), exact."""
-    total = Fraction(0)
-    for d in degrees:
-        total += Fraction(1, d + 1)
-    return total
+    """Independence bound: sum of 1/(d_i + 1), exact, one term per degree."""
+    terms = (Fraction(count, d + 1) for d, count in degrees.multiplicities.items())
+    return sum(terms, Fraction(0))
 
 
 def turan_alpha(n: int, m: int) -> Fraction:

@@ -125,9 +125,11 @@ def encode_edge_list(g: Graph) -> str:
 
 
 def decode_edge_list(text: str) -> Graph:
+    """Labels are numbered on first sight; each vertex's neighbours are
+    collected while parsing and its row is built once, after the last line."""
     header_n: int | None = None
     labels: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
+    neighbours: list[list[int]] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -141,14 +143,19 @@ def decode_edge_list(text: str) -> Graph:
         tokens = line.split()
         if len(tokens) != 2:
             raise FormatError(f"expected 'u v' pair, got {raw!r}")
-        pair = []
-        for tok in tokens:
-            if tok not in labels:
-                labels[tok] = len(labels)
-            pair.append(labels[tok])
-        if pair[0] == pair[1]:
+        a, b = tokens
+        if a == b:
             raise FormatError(f"loop {raw!r} not allowed")
-        edges.append((pair[0], pair[1]))
+        u = labels.get(a)
+        if u is None:
+            u = labels[a] = len(neighbours)
+            neighbours.append([])
+        v = labels.get(b)
+        if v is None:
+            v = labels[b] = len(neighbours)
+            neighbours.append([])
+        neighbours[u].append(v)
+        neighbours[v].append(u)
     n = len(labels)
     if header_n is not None:
         if n > header_n:
@@ -156,7 +163,13 @@ def decode_edge_list(text: str) -> Graph:
                 f"header says n={header_n} but {n} distinct labels appear"
             )
         n = header_n
-    return Graph(n, edges)
+    rows = []
+    for ws in neighbours:
+        row = 0
+        for w in ws:
+            row |= 1 << w
+        rows.append(row)
+    return Graph._from_rows(tuple(rows) + (0,) * (n - len(rows)))
 
 
 def encode_csv(columns, rows) -> str:

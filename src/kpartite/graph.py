@@ -1,8 +1,9 @@
 """Immutable simple undirected graphs on vertices 0..n-1.
 
 A graph is stored as one integer bitmask row per vertex: bit v of row u is
-set exactly when uv is an edge.  Neighbor sets, degrees and edge lists are
-read off the rows, and the constructors here (complement, induced subgraphs,
+set exactly when uv is an edge.  The degrees are counted once, when the rows
+are stored, and every reader shares that tuple; neighbor sets and edge lists
+are read off the rows.  The constructors here (complement, induced subgraphs,
 disjoint unions, the named families) build rows directly.  Public functions
 take and return vertex sets as plain ``frozenset[int]``; inside the package a
 vertex subset is a mask over the host's own rows, never a relabelled copy of
@@ -39,7 +40,7 @@ class Graph:
     rejected, duplicate edges collapse.
     """
 
-    __slots__ = ("n", "_rows", "_m")
+    __slots__ = ("n", "_rows", "_degrees", "_m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         n = index(n)
@@ -67,7 +68,8 @@ class Graph:
     def _set_rows(self, rows: tuple[int, ...]) -> None:
         self.n = len(rows)
         self._rows = rows
-        self._m = sum(r.bit_count() for r in rows) // 2
+        self._degrees = tuple(r.bit_count() for r in rows)
+        self._m = sum(self._degrees) // 2
 
     @classmethod
     def from_adjacency(cls, adjacency: Sequence[Iterable[int]]) -> "Graph":
@@ -85,19 +87,20 @@ class Graph:
         """Edge count."""
         return self._m
 
-    def _row(self, v: int) -> int:
+    def _vertex(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
-        return self._rows[v]
+        return v
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(iter_bits(self._row(v)))
+        return frozenset(iter_bits(self._rows[self._vertex(v)]))
 
     def degree(self, v: int) -> int:
-        return self._row(v).bit_count()
+        return self._degrees[self._vertex(v)]
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(r.bit_count() for r in self._rows)
+        """Every vertex's degree, counted once when the graph was built."""
+        return self._degrees
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -105,12 +108,16 @@ class Graph:
         return (self._rows[u] >> v) & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) with u < v, sorted."""
-        return [
-            (u, u + 1 + w)
-            for u, row in enumerate(self._rows)
-            for w in iter_bits(row >> (u + 1))
-        ]
+        """All edges as (u, v) with u < v, sorted; pops the lowest set bit of
+        each row above its vertex, a few big-integer operations per edge."""
+        edges = []
+        for u, row in enumerate(self._rows):
+            row >>= u + 1
+            while row:
+                low = row & -row
+                edges.append((u, u + low.bit_length()))
+                row ^= low
+        return edges
 
     def adjacency_masks(self) -> tuple[int, ...]:
         """The stored rows: bit v of row u is set iff uv is an edge."""

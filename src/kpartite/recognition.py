@@ -2,14 +2,16 @@
 
 Each family is read off a counting rule that keeps one count per vertex.
 
-Clique unions, :func:`clique_classes`: give every vertex a mask that contains
-the vertex itself; a mask ``M`` that occurs exactly ``|M|`` times is held by
-``|M|`` distinct vertices, each inside ``M``, so it is held by exactly its
-own members, its lowest member among them.  Applied to the closed
-neighbourhoods ``row | 1 << v``, every member of such an ``M`` is adjacent to
-the rest of ``M`` and to nothing outside it: ``M`` is a clique component, and
-every clique component qualifies.  An isolated vertex passes 0 for its closed
-neighbourhood, so the rule builds masks only for vertices with neighbours.
+Clique unions, :func:`clique_classes`: count each vertex under the lowest
+member of its closed neighbourhood ``row | 1 << v`` when that member has the
+same closed neighbourhood ``M``.  A count of ``d + 1 = |M|`` under a vertex
+of degree ``d`` means that ``|M|`` distinct vertices, each inside ``M``, hold
+``M``: exactly its own members.  Each is adjacent to the rest of ``M`` and to
+nothing outside it, so ``M`` is a clique component, and every clique
+component qualifies.  Equal closed neighbourhoods have equal sizes, so the
+masks are built and compared only when a vertex and its lowest neighbour have
+the same degree; that skips no match.  An isolated vertex is its own lowest
+member and builds no mask.
 
 Complete multipartite graphs, :func:`is_complete_multipartite`: two vertices
 share a part exactly when their rows are equal, so every row ``r`` must be
@@ -26,7 +28,7 @@ four membership questions for a graph or its degree sequence.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from .graph import Graph
 from .instrument import OpCounter
@@ -34,34 +36,27 @@ from .sequences import CLIQUE_SIZES, MULTIPARTITE_PARTS, PartitionProfile
 
 
 def clique_classes(
-    n: int, closed: Callable[[int], int], counter: OpCounter | None = None
+    rows: Sequence[int], degrees: Sequence[int], counter: OpCounter | None = None
 ) -> list[tuple[int, int]]:
-    """``(lowest member, size)`` of every mask that occurs exactly as often as
-    it has set bits, by ascending lowest member.  ``closed(v)`` is vertex
-    ``v``'s mask, which contains ``v``, or 0 when that mask is ``v`` alone;
-    ``counter`` counts one step per vertex.
+    """``(lowest member, size)`` of every clique component of the graph with
+    ``rows`` and ``degrees``, by ascending lowest member; ``counter`` counts
+    one step per vertex.
 
-    Each vertex is counted under the lowest member of its mask when that
-    member holds the same mask, so only one mask is alive at a time.
+    Each vertex is counted under the lowest member of its closed
+    neighbourhood when that member has the same closed neighbourhood.  The
+    two masks are built and compared only when the degrees are equal, so
+    only one mask is alive at a time, and an isolated vertex builds none.
     """
-    held = [0] * n
-    for v in range(n):
-        mask = closed(v)
-        low = (mask & -mask).bit_length() - 1 if mask else v
-        if low == v or closed(low) == mask:
+    held = [0] * len(rows)
+    for v, row in enumerate(rows):
+        low = (row & -row).bit_length() - 1
+        if not 0 <= low < v:
+            held[v] += 1
+        elif degrees[low] == degrees[v] and rows[low] | 1 << low == row | 1 << v:
             held[low] += 1
     if counter is not None:
-        counter.bump(n)
-    return [
-        (v, h) for v, h in enumerate(held) if h and h == (closed(v).bit_count() or 1)
-    ]
-
-
-def closed_neighbourhoods(rows: Sequence[int]) -> Callable[[int], int]:
-    """``closed`` for :func:`clique_classes` on a graph's ``rows``: ``v``'s
-    closed neighbourhood, or 0 for an isolated vertex, so no ``v``-bit mask
-    is built for it."""
-    return lambda v: rows[v] and rows[v] | 1 << v
+        counter.bump(len(rows))
+    return [(v, h) for v, h in enumerate(held) if h and h == degrees[v] + 1]
 
 
 def is_complete_multipartite(
@@ -75,6 +70,7 @@ def is_complete_multipartite(
     """
     n = g.n
     rows = g.adjacency_masks()
+    degrees = g.degrees()
     held = [0] * n
     for v, row in enumerate(rows):
         # ``row ^ (row + 1)`` is the trailing ones plus the lowest zero bit.
@@ -83,7 +79,7 @@ def is_complete_multipartite(
             held[low] += 1
     if counter is not None:
         counter.bump(n)
-    sizes = [h for v, h in enumerate(held) if h and h == n - rows[v].bit_count()]
+    sizes = [h for v, h in enumerate(held) if h and h == n - degrees[v]]
     return PartitionProfile(tuple(sizes), MULTIPARTITE_PARTS) if sum(sizes) == n else None
 
 
@@ -91,6 +87,5 @@ def is_clique_union(
     g: Graph, counter: OpCounter | None = None
 ) -> PartitionProfile | None:
     """Clique sizes if every connected component of ``g`` is complete, else None."""
-    closed = closed_neighbourhoods(g.adjacency_masks())
-    sizes = [size for _, size in clique_classes(g.n, closed, counter)]
+    sizes = [q for _, q in clique_classes(g.adjacency_masks(), g.degrees(), counter)]
     return PartitionProfile(tuple(sizes), CLIQUE_SIZES) if sum(sizes) == g.n else None

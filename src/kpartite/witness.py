@@ -39,7 +39,7 @@ from .errors import CanonicalGraphError, OutsideFamilyError, ProofStateError
 from .exact import CLIQUE, INDEPENDENT_SET, WitnessCertificate, _greedy_independent
 from .graph import Graph, complement, degree_sequence, induced_subgraph, iter_bits
 from .instrument import OpCounter
-from .recognition import clique_classes, closed_neighbourhoods
+from .recognition import clique_classes
 from .sequences import CLIQUE_SIZES, PartitionProfile, clique_union_profile_from_degrees
 
 
@@ -84,7 +84,7 @@ def _strip(
     rows = g.adjacency_masks()
     lowest = []
     covered = bytearray(g.n)
-    for low, q in clique_classes(g.n, closed_neighbourhoods(rows), counter):
+    for low, q in clique_classes(rows, g.degrees(), counter):
         if not left[q]:
             raise ProofStateError(
                 f"clique component of size {q} has no matching part in "
@@ -102,21 +102,22 @@ def _strip(
 
 def initial_proof_state(g: Graph, profile: PartitionProfile) -> ProofState:
     """State for a stripped graph: layers assigned, no vertices chosen yet."""
-    return _proof_state(g.adjacency_masks(), range(g.n), profile)
+    return _proof_state(g, range(g.n), profile)
 
 
 def _proof_state(
-    rows: tuple[int, ...], kept: Iterable[int], profile: PartitionProfile
+    g: Graph, kept: Iterable[int], profile: PartitionProfile
 ) -> ProofState:
-    """State on the host's ``rows``.  The layers split the ascending ``kept``
+    """State on the rows of ``g``.  The layers split the ascending ``kept``
     vertices (components, none a clique) by the sorted part sizes: the layer
     for size a takes a vertices of degree a - 1, in index order."""
     parts = profile.parts
     if not parts:
         raise ProofStateError("empty profile; graph was fully stripped")
+    rows, degrees = g.adjacency_masks(), g.degrees()
     by_degree: dict[int, list[int]] = {}
     for v in kept:
-        by_degree.setdefault(rows[v].bit_count(), []).append(v)
+        by_degree.setdefault(degrees[v], []).append(v)
     layers: list[tuple[int, ...]] = []
     cursor: dict[int, int] = {}
     for a in parts:
@@ -235,7 +236,7 @@ def witness_independent_set(
         raise CanonicalGraphError(
             "graph is the canonical clique union; no larger independent set exists"
         )
-    state = _proof_state(g.adjacency_masks(), kept, reduced)
+    state = _proof_state(g, kept, reduced)
     state = base_independent_set(state, counter)
     while state.chosen.bit_count() < reduced.k + 1:
         state = extend_independent_set(state, counter)

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,19 @@ def test_caro_wei_examples():
 def test_caro_wei_exact_on_clique_union_sequences(sizes):
     profile = PartitionProfile(tuple(sizes))
     assert caro_wei(profile.degree_sequence()) == profile.k
+
+
+def test_caro_wei_matches_per_vertex_sum():
+    # The per-degree-class sum against one Fraction per vertex, as written
+    # before, on seeded degree lists and the degrees of random graphs.
+    rng = random.Random(9)
+    lists = [[], [0], [5] * 6, [rng.randrange(40) for _ in range(300)]]
+    lists += [list(degree_sequence(g)) for g in random_graph_corpus(40, 30, seed=9)]
+    for degrees in lists:
+        total = Fraction(0)
+        for d in degrees:
+            total += Fraction(1, d + 1)
+        assert caro_wei(DegreeSequence(degrees)) == total
 
 
 def test_turan_alpha_examples():

@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,120 @@ def test_edge_list_header_and_labels():
     for text in ("n=258048\n0 1\n", "n=1000000000\n", "n=-1\n"):
         with pytest.raises(FormatError):
             decode_edge_list(text)
+
+
+def _edge_tuple_decode(text: str) -> Graph:
+    """The edge-list decoder as written before rows were built from
+    neighbour lists: labels numbered on first sight, one ``(u, v)`` tuple per
+    line, and the validating ``Graph(n, edges)``.  The oracle for
+    ``decode_edge_list``."""
+    header_n = None
+    labels: dict[str, int] = {}
+    edges = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("n="):
+            try:
+                n = int(line[2:])
+                if not 0 <= n <= 258047:
+                    raise FormatError(f"vertex count must be in 0..258047, got {n}")
+                header_n = n
+            except ValueError as exc:
+                raise FormatError(f"bad vertex-count header: {raw!r}") from exc
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise FormatError(f"expected 'u v' pair, got {raw!r}")
+        pair = []
+        for tok in tokens:
+            if tok not in labels:
+                labels[tok] = len(labels)
+            pair.append(labels[tok])
+        if pair[0] == pair[1]:
+            raise FormatError(f"loop {raw!r} not allowed")
+        edges.append((pair[0], pair[1]))
+    n = len(labels)
+    if header_n is not None:
+        if n > header_n:
+            raise FormatError(f"header says n={header_n} but {n} distinct labels appear")
+        n = header_n
+    return Graph(n, edges)
+
+
+def _edge_list_texts() -> list[str]:
+    """Seeded edge-list texts: arbitrary string labels, duplicate edges in
+    both orientations, blank and whitespace-only lines, headers above and
+    below the label count, at the vertex cap and one past it, malformed
+    headers, and now and then a loop or a line of 1 or 3 tokens, so that
+    texts with several faults show which one is reported first."""
+    rng = random.Random(20261019)
+    pool = ["0", "1", "7", "007", "a", "B", "v-12", "x_y", "ä", "3.5", "-4", "n", "N=2", "1e3"]
+    texts = [
+        "",
+        "n=258047\n",
+        "n=258048\n",
+        "n=258047\na b\nb c\n",
+        "n=258048\na b\n",
+        "a a\n",
+        "a\n",
+        "a b c\n",
+        "n=2\na b\nb c\n",
+        "n=x\n",
+        "n=-1\n",
+        "n=\n",
+        "a b\nb a\na b\n\n   \n\t\n",
+        "a b\nc c\nd\n",
+        "a b\nd\nc c\n",
+    ]
+    for _ in range(300):
+        labels = rng.sample(pool, rng.randint(2, len(pool)))
+        lines: list[str] = []
+        pairs: list[list[str]] = []
+        # Half of the texts have no fault lines beyond their headers.
+        faults = 1.0 if rng.random() < 0.5 else 0.9
+        for _ in range(rng.randint(0, 30)):
+            kind = rng.random()
+            if kind < 0.6 or not pairs or kind >= faults:
+                pairs.append(rng.sample(labels, 2))
+                lines.append(rng.choice([" ", "  ", "\t"]).join(pairs[-1]))
+            elif kind < 0.7:
+                u, v = rng.choice(pairs)
+                lines.append(f" {v} {u} ")
+            elif kind < 0.8:
+                lines.append(rng.choice(["", "   ", "\t \t"]))
+            elif kind < 0.9:
+                n = rng.choice([0, 1, 3, len(labels) - 1, len(labels), len(labels) + 5, 258048])
+                lines.append(f"n={n}")
+            elif kind < 0.94:
+                u = rng.choice(labels)
+                lines.append(f"{u} {u}")
+            elif kind < 0.97:
+                lines.append(rng.choice(labels))
+            else:
+                lines.append(" ".join(rng.sample(labels, 2) + ["0"]))
+        texts.append("\n".join(lines) + rng.choice(["", "\n"]))
+    return texts
+
+
+def _decode_outcome(decode, text: str):
+    try:
+        return decode(text).adjacency_masks()
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+def test_edge_list_decoder_matches_edge_tuple_decoder():
+    outcomes = []
+    for text in _edge_list_texts():
+        ours = _decode_outcome(decode_edge_list, text)
+        assert ours == _decode_outcome(_edge_tuple_decode, text), text
+        outcomes.append(ours)
+    # The corpus reaches every error and plenty of accepted graphs.
+    errors = {o.split(":")[1].split()[0] for o in outcomes if isinstance(o, str)}
+    assert errors == {"vertex", "bad", "expected", "loop", "header"}, errors
+    assert sum(not isinstance(o, str) for o in outcomes) >= 100
 
 
 @given(graphs_strategy(max_n=9))

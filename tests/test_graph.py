@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,21 +9,32 @@ from kpartite import (
     DegreeSequence,
     Graph,
     PartitionProfile,
+    SwitchStep,
     clique_union,
     complement,
     complete_graph,
     complete_multipartite,
     connected_components,
     cycle_graph,
+    decode_graph6,
     degree_sequence,
     disjoint_union,
     empty_graph,
+    encode_graph6,
+    four_copies,
+    havel_hakimi_realize,
     induced_subgraph,
     is_isomorphic,
     max_clique,
     max_independent_set,
     path_graph,
+    petersen_graph,
+    random_switch_walk,
+    turan_graph,
+    two_switch,
 )
+from kpartite.formats import decode_dimacs, decode_edge_list, encode_dimacs
+from kpartite.graph import iter_bits
 
 from .conftest import graphs_strategy
 
@@ -116,6 +130,71 @@ def test_degree_sequence_examples():
 @given(graphs_strategy())
 def test_degree_sum_is_twice_edges(g):
     assert sum(degree_sequence(g)) == 2 * g.m
+
+
+def test_degrees_are_row_bit_counts_after_every_constructor():
+    rng = random.Random(11)
+    c6 = cycle_graph(6)
+    sparse = Graph(40, [e for e in combinations(range(40), 2) if rng.random() < 0.1])
+    graphs = [
+        Graph(5, [(0, 1), (1, 0), (3, 4)]),
+        Graph.from_adjacency([[1], [0, 2], [1]]),
+        complement(sparse),
+        induced_subgraph(sparse, range(0, 40, 3)),
+        disjoint_union([c6, sparse, Graph(2)]),
+        empty_graph(4),
+        complete_graph(5),
+        path_graph(5),
+        c6,
+        complete_multipartite([1, 2, 3]),
+        clique_union([1, 2, 3]),
+        petersen_graph(),
+        turan_graph(10, 3),
+        four_copies(petersen_graph()),
+        decode_graph6(encode_graph6(sparse)),
+        decode_edge_list("n=9\na b\nb c\na b\nc a\n"),
+        decode_dimacs(encode_dimacs(sparse)),
+        havel_hakimi_realize(DegreeSequence([3, 3, 2, 2, 2, 1, 1])),
+        two_switch(c6, SwitchStep(removed=((0, 1), (3, 4)), added=((0, 4), (1, 3)))),
+        random_switch_walk(sparse, 500, 3),
+        # Over half of all pairs: walked on the complement.
+        random_switch_walk(complement(sparse), 500, 3),
+    ]
+    for g in graphs:
+        degrees = g.degrees()
+        assert degrees == tuple(row.bit_count() for row in g.adjacency_masks())
+        assert [g.degree(v) for v in range(g.n)] == list(degrees)
+        assert sum(degrees) == 2 * g.m
+    for v in (-1, 6):
+        with pytest.raises(ValueError):
+            c6.degree(v)
+
+
+def _bin_scan_edges(g: Graph) -> list[tuple[int, int]]:
+    """``Graph.edges`` as written before it popped low bits: each row above
+    its own vertex is read through ``iter_bits``'s ``bin`` scan.  The oracle
+    for the bit-popping loop."""
+    return [
+        (u, u + 1 + w)
+        for u, row in enumerate(g.adjacency_masks())
+        for w in iter_bits(row >> (u + 1))
+    ]
+
+
+def test_edges_match_bin_scan():
+    rng = random.Random(12)
+    graphs = [Graph(0), Graph(1), Graph(50), complete_graph(2), complete_graph(60)]
+    for n in (100, 3000):
+        # Sparse on high labels, with a few edges down to low ones.
+        pairs = [(rng.randrange(n - 60, n), rng.randrange(n - 60, n)) for _ in range(80)]
+        pairs += [(rng.randrange(10), rng.randrange(n - 10, n)) for _ in range(5)]
+        graphs.append(Graph(n, [(u, v) for u, v in pairs if u != v]))
+    for n in (10, 80, 200):
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5]))
+    for g in graphs:
+        edges = g.edges()
+        assert edges == _bin_scan_edges(g)
+        assert len(edges) == g.m
 
 
 def test_induced_subgraph_full_is_identity():

@@ -1,7 +1,9 @@
+import random
 import tracemalloc
 from itertools import combinations
 
 from kpartite import (
+    Graph,
     OpCounter,
     PartitionProfile,
     clique_union,
@@ -18,6 +20,7 @@ from kpartite import (
     is_complete_multipartite,
     multipartite_profile_from_degrees,
     path_graph,
+    random_switch_walk,
     strip_clique_components,
 )
 from kpartite.recognition import clique_classes
@@ -143,8 +146,99 @@ def test_from_degrees_touch_only_multiplicities():
 
 def test_clique_classes_are_lowest_member_and_size():
     g = disjoint_union([path_graph(3), clique_union([2, 1, 3])])
-    rows = g.adjacency_masks()
-    assert clique_classes(g.n, lambda v: rows[v] | 1 << v) == [(3, 2), (5, 1), (6, 3)]
+    assert clique_classes(g.adjacency_masks(), g.degrees()) == [(3, 2), (5, 1), (6, 3)]
+
+
+def _closed_mask_classes(rows):
+    """``clique_classes`` as written before the degree filter: every vertex
+    builds its closed mask (0 when isolated) and compares it with the mask
+    of the lowest member, and the size test counts the mask's bits.  The
+    oracle for the filtered rule."""
+
+    def closed(v):
+        return rows[v] and rows[v] | 1 << v
+
+    held = [0] * len(rows)
+    for v in range(len(rows)):
+        mask = closed(v)
+        low = (mask & -mask).bit_length() - 1 if mask else v
+        if low == v or closed(low) == mask:
+            held[low] += 1
+    return [(v, h) for v, h in enumerate(held) if h and h == (closed(v).bit_count() or 1)]
+
+
+def _filtered_classes(rows, degrees, mutant=None):
+    """The degree-filtered rule of ``clique_classes`` written out, with one
+    deliberate fault when ``mutant`` names it: ``"low >= v"`` (isolated
+    vertices lose their own count), ``"open masks"`` (compares rows instead
+    of closed neighbourhoods) or ``"no + 1"`` (size test against the degree)."""
+    held = [0] * len(rows)
+    for v, row in enumerate(rows):
+        low = (row & -row).bit_length() - 1
+        if (low >= v) if mutant == "low >= v" else not 0 <= low < v:
+            held[v] += 1
+        elif degrees[low] == degrees[v]:
+            if mutant == "open masks":
+                same = rows[low] == row
+            else:
+                same = rows[low] | 1 << low == row | 1 << v
+            if same:
+                held[low] += 1
+    plus = 0 if mutant == "no + 1" else 1
+    return [(v, h) for v, h in enumerate(held) if h and h == degrees[v] + plus]
+
+
+def _clique_class_cases():
+    """Relabelled clique unions, sparse members on high labels (2-switched
+    and with a low isolated block), cycles, K_{a,a}, perfect matchings,
+    graphs whose adjacent vertices share a degree but not a closed
+    neighbourhood (a path, a prism), the diamond (its middle pair shares a
+    closed neighbourhood that is no clique), isolated vertices alone and
+    mixed in, and the complements of the unions."""
+    rng = random.Random(151)
+    graphs = [empty_graph(0), empty_graph(1), empty_graph(7)]
+    for n in (5, 40, 300):
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(min(n - sum(sizes), rng.randint(1, 9)))
+        label = list(range(n))
+        rng.shuffle(label)
+        member = Graph(n, [(label[u], label[v]) for u, v in clique_union(sizes).edges()])
+        high = Graph(n + 2000, [(u + 2000, v + 2000) for u, v in member.edges()])
+        graphs += [member, complement(member), high, random_switch_walk(high, n, n)]
+    graphs += [cycle_graph(n) for n in range(3, 13)]
+    graphs += [complete_multipartite([a, a]) for a in range(1, 7)]
+    graphs += [clique_union([2] * a) for a in range(1, 6)]
+    graphs += [
+        Graph(6, [(0, 3), (4, 1), (5, 2)]),
+        path_graph(6),
+        Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]),
+        Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+        disjoint_union([empty_graph(3), clique_union([3, 1, 2]), cycle_graph(5), empty_graph(2)]),
+    ]
+    return graphs
+
+
+def test_clique_classes_match_closed_mask_rule(small_graph_corpus, family_neighbour_corpus):
+    cases = _clique_class_cases() + small_graph_corpus + family_neighbour_corpus
+    for g in cases:
+        rows, degrees = g.adjacency_masks(), g.degrees()
+        expected = _closed_mask_classes(rows)
+        assert clique_classes(rows, degrees) == expected
+        assert _filtered_classes(rows, degrees) == expected
+    # Each deliberate fault in the written-out rule gives another answer, or
+    # fails, on the hand-picked cases alone.
+    for mutant in ("low >= v", "open masks", "no + 1"):
+        killed = False
+        for g in _clique_class_cases():
+            rows, degrees = g.adjacency_masks(), g.degrees()
+            try:
+                killed = _filtered_classes(rows, degrees, mutant) != _closed_mask_classes(rows)
+            except ValueError:  # a negative shift count
+                killed = True
+            if killed:
+                break
+        assert killed, mutant
 
 
 def test_recognition_keeps_one_mask_at_a_time():
