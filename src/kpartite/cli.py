@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .bounds import BoundReport, compare_bounds
-from .errors import FormatError, KPartiteError
+from .errors import FormatError, GraphTooLargeError, KPartiteError
 from .exact import max_clique, max_independent_set
 from .formats import (
     DIMACS,
@@ -56,6 +56,11 @@ from .sequences import (
 from .witness import witness_clique, witness_independent_set
 
 _PATTERN_RE = re.compile(r"^([pcke])(\d+)$")
+
+# A bound report carries the graph's graph6 code, built from a string of
+# n(n - 1)/2 characters: `bounds --input` peaks at about 115 MB of RSS at
+# this many vertices, inside a 128 MB budget (README "Caps and complexity").
+BOUNDS_MAX_VERTICES = 10_000
 
 
 def parse_named_graph(name: str) -> Graph:
@@ -144,6 +149,11 @@ def _cmd_bounds(args) -> int:
         write_text(bounds_report_csv(profiles), args.out)
         return 0
     graphs = _gather_graphs(args.input, args.format)
+    for g in graphs:
+        if g.n > BOUNDS_MAX_VERTICES:
+            raise GraphTooLargeError(
+                f"bounds supports at most {BOUNDS_MAX_VERTICES} vertices per graph, got {g.n}"
+            )
     if len(graphs) == 1:
         report = compare_bounds(graphs[0], with_exact=args.exact)
         write_text(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)

@@ -9,6 +9,7 @@ a minimal labeling is itself minimal, so this canonicity test is what makes
 every isomorphism class appear exactly once; the rows of emitted graphs are
 kept only as a guard that fails loudly otherwise.  Degree feasibility of every
 partial graph is checked with residual-capacity and Erdos-Gallai pruning.
+Degree-0 vertices are not searched: they are appended to every emitted graph.
 
 The 2-switch sampler draws from the standard library's ``random.Random``
 seeded with the walk seed.  Only its ``random()`` floats are used, the one
@@ -125,11 +126,20 @@ def enumerate_realizations(degrees: DegreeSequence) -> Iterator[Graph]:
 
 
 def _enumerate_graphs(degrees: DegreeSequence) -> Iterator[Graph]:
-    n = degrees.n
+    """The orderly search on the positive targets, with the degree-0 vertices
+    appended to each leaf.  The order is that of a search over all targets:
+    the zeros sort last and take the last rank, so the other ranks stay; an
+    all-zero column can neither make a canonical prefix non-canonical nor be
+    reordered into a smaller code; and each extra child that search tries is
+    one ``feasible()`` cuts.  ``n`` counts the positive targets only, so
+    isolated vertices are no capacity."""
     targets = degrees.sorted(descending=True)
+    n = len(targets) - targets.count(0)
+    isolated = (0,) * (len(targets) - n)
     if n == 0:
-        yield Graph(0)
+        yield Graph._from_rows(isolated)
         return
+    targets = targets[:n]
     ranks = _ranks_by_descending_value(targets)
     # Rows of the graphs emitted so far: no class may be emitted twice.
     emitted: set[tuple[int, ...]] = set()
@@ -157,7 +167,7 @@ def _enumerate_graphs(degrees: DegreeSequence) -> Iterator[Graph]:
             if rows in emitted:
                 raise AssertionError("enumeration emitted two isomorphic graphs")
             emitted.add(rows)
-            yield Graph._from_rows(rows)
+            yield Graph._from_rows(rows + isolated)
             return
         t = targets[r]
         eligible = [u for u in range(r) if rows[u].bit_count() < targets[u]]

@@ -13,6 +13,15 @@ masks are built and compared only when a vertex and its lowest neighbour have
 the same degree; that skips no match.  An isolated vertex is its own lowest
 member and builds no mask.
 
+:func:`is_clique_union` stops at the first vertex ``v`` whose lowest
+neighbour ``low < v`` has another closed neighbourhood: a vertex of a clique
+component shares its closed neighbourhood with each neighbour, so ``v`` lies
+in no clique component and the answer is None.  A scan that never stops has
+equal closed neighbourhoods along every edge ``uv``, ``u < v``, by induction
+on ``v``: ``v``'s lowest neighbour ``w`` shares ``v``'s, and if ``w < u``
+then ``wu`` is an edge below ``v``.  So every component is a clique, and the
+count under its lowest member is its size.
+
 Complete multipartite graphs, :func:`is_complete_multipartite`: two vertices
 share a part exactly when their rows are equal, so every row ``r`` must be
 held by exactly ``n - |r|`` vertices.  That suffices: no holder of ``r`` lies
@@ -28,7 +37,7 @@ four membership questions for a graph or its degree sequence.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .graph import Graph
 from .instrument import OpCounter
@@ -48,15 +57,25 @@ def clique_classes(
     only one mask is alive at a time, and an isolated vertex builds none.
     """
     held = [0] * len(rows)
-    for v, row in enumerate(rows):
-        low = (row & -row).bit_length() - 1
-        if not 0 <= low < v:
-            held[v] += 1
-        elif degrees[low] == degrees[v] and rows[low] | 1 << low == row | 1 << v:
+    for low in _holders(rows, degrees):
+        if low >= 0:
             held[low] += 1
     if counter is not None:
         counter.bump(len(rows))
     return [(v, h) for v, h in enumerate(held) if h and h == degrees[v] + 1]
+
+
+def _holders(rows: Sequence[int], degrees: Sequence[int]) -> Iterator[int]:
+    """Per vertex, ascending: the vertex it is counted under, or -1 when its
+    lowest neighbour is below it and has another closed neighbourhood."""
+    for v, row in enumerate(rows):
+        low = (row & -row).bit_length() - 1
+        if not 0 <= low < v:
+            yield v
+        elif degrees[low] == degrees[v] and rows[low] | 1 << low == row | 1 << v:
+            yield low
+        else:
+            yield -1
 
 
 def is_complete_multipartite(
@@ -86,6 +105,18 @@ def is_complete_multipartite(
 def is_clique_union(
     g: Graph, counter: OpCounter | None = None
 ) -> PartitionProfile | None:
-    """Clique sizes if every connected component of ``g`` is complete, else None."""
-    sizes = [q for _, q in clique_classes(g.adjacency_masks(), g.degrees(), counter)]
-    return PartitionProfile(tuple(sizes), CLIQUE_SIZES) if sum(sizes) == g.n else None
+    """Clique sizes if every connected component of ``g`` is complete, else None.
+
+    The scan stops at the first vertex that lies in no clique component;
+    ``counter`` counts one step per vertex scanned.
+    """
+    held = [0] * g.n
+    for v, low in enumerate(_holders(g.adjacency_masks(), g.degrees())):
+        if low < 0:
+            if counter is not None:
+                counter.bump(v + 1)
+            return None
+        held[low] += 1
+    if counter is not None:
+        counter.bump(g.n)
+    return PartitionProfile(tuple(h for h in held if h), CLIQUE_SIZES)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from kpartite import (
     petersen_graph,
     save_graph,
 )
+from kpartite import cli
 from kpartite.cli import main, parse_named_graph
 
 from .conftest import random_graph_corpus
@@ -128,6 +130,44 @@ def test_bounds_reports_match_recorded_digests(tmp_path, capsys):
     assert csv_digest.hexdigest() == (
         "8d2239bedf04c974c4706795210b2f740e3ace87d3b82287aab2a175a41b3f10"
     )
+
+
+def _four_clique_edge_list(n):
+    """2500 disjoint K4 on the labels 0..9999, one 2-switch joining the
+    first two, under the header ``n=<n>``."""
+    edges = {(u, v) for b in range(0, 10000, 4) for u, v in combinations(range(b, b + 4), 2)}
+    edges -= {(0, 1), (4, 5)}
+    edges |= {(0, 4), (1, 5)}
+    return f"n={n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges))
+
+
+def test_bounds_input_vertex_cap(tmp_path, capsys, monkeypatch):
+    assert cli.BOUNDS_MAX_VERTICES == 10000
+    # At the cap the report is byte-identical to the one recorded before the
+    # cap existed.
+    at_cap = tmp_path / "at_cap.edges"
+    at_cap.write_text(_four_clique_edge_list(10000))
+    code, out, err = run(capsys, "bounds", "--input", str(at_cap))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "08fd14dc413403fe3cb41fdf21d33f1d5684aa6874cbbec45ba8519e3d6512f1"
+    )
+
+    # One vertex more, alone or in a batch, and the edgeless graph at the
+    # edge-list cap exit 2 before any report is built.
+    def no_report(*args, **kwargs):
+        raise AssertionError("compare_bounds ran on an oversized input")
+
+    monkeypatch.setattr(cli, "compare_bounds", no_report)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    save_graph(cycle_graph(6), str(batch / "a.g6"))
+    (batch / "b.edges").write_text(_four_clique_edge_list(10001))
+    (tmp_path / "cap.edges").write_text("n=258047\n")
+    for path in (batch / "b.edges", batch, tmp_path / "cap.edges"):
+        code, out, err = run(capsys, "bounds", "--input", str(path))
+        assert code == 2 and out == ""
+        assert "at most 10000 vertices" in err, err
 
 
 def test_bounds_profile_campaign(capsys):

@@ -102,6 +102,9 @@ def test_bounds_report_csv_is_deterministic_and_flags_sharp_rows():
         assert Fraction(row["caro_wei"]) < k + 1
         assert int(row["exact_alpha"]) >= k + 1
         assert row["canonical"] == "False"
+    # The classical bounds depend only on the degrees, so they stay at most k
+    # on the whole class: exactly the non-canonical rows are flagged.
+    assert all((r["sharpness_flagged"] == "True") == (r["canonical"] == "False") for r in rows)
 
 
 def test_empty_campaign():

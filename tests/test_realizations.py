@@ -207,6 +207,10 @@ def test_enumerate_path_or_triangle_plus_edge():
 
 def test_enumerate_single_vertex():
     assert list(enumerate_realizations(DegreeSequence([0]))) == [Graph(1)]
+    # Degree-0 vertices are appended, not searched: an all-zero sequence,
+    # the empty one included, has exactly its one edgeless graph.
+    for n in (0, 10):
+        assert list(enumerate_realizations(DegreeSequence([0] * n))) == [Graph(n)]
 
 
 def test_enumerate_two_regular_nine():
@@ -219,8 +223,34 @@ def test_enumerate_two_regular_nine():
 def test_enumeration_caps_and_guards():
     with pytest.raises(GraphTooLargeError):
         enumerate_realizations(DegreeSequence([0] * 11))
+    # The cap counts isolated vertices, although the search skips them.
+    with pytest.raises(GraphTooLargeError):
+        enumerate_realizations(DegreeSequence([3, 3, 3, 3] + [0] * 7))
+    # Raised at the call, before the first graph is asked for.
     with pytest.raises(NonGraphicalError):
         enumerate_realizations(DegreeSequence([3, 0, 0, 0]))
+
+
+def test_enumeration_with_isolated_vertices_matches_recorded_digest():
+    # Every realization of every graphical sequence with a 0 and at most 8
+    # vertices, in emission order, recorded when the search still placed and
+    # tested each degree-0 vertex.  Such graphs are the graphs on n - 1
+    # vertices plus an isolated one, which the per-n counts check on their own.
+    digest = hashlib.sha256()
+    counts = []
+    for n in range(1, 9):
+        count = 0
+        for seq in combinations_with_replacement(range(n), n):
+            ds = DegreeSequence(seq)
+            if seq[0] == 0 and is_graphical(ds):
+                for g in enumerate_realizations(ds):
+                    digest.update(f"{encode_graph6(g)}\n".encode())
+                    count += 1
+        counts.append(count)
+    assert counts == [1, 1, 2, 4, 11, 34, 156, 1044]
+    assert digest.hexdigest() == (
+        "e0e569c25d0a7fdd1785f6841cadaf2e6db97e7b23213ba1066fb3bd61a3f5da"
+    )
 
 
 def test_enumeration_matches_naive_filter_small():

@@ -6,6 +6,7 @@ from kpartite import (
     Graph,
     OpCounter,
     PartitionProfile,
+    SwitchStep,
     clique_union,
     clique_union_profile_from_degrees,
     complement,
@@ -22,6 +23,7 @@ from kpartite import (
     path_graph,
     random_switch_walk,
     strip_clique_components,
+    two_switch,
 )
 from kpartite.recognition import clique_classes
 
@@ -135,6 +137,28 @@ def test_probe_counts_stay_linear():
     counter = OpCounter()
     assert is_complete_multipartite(mp, counter=counter) is not None
     assert counter.count <= 4 * (mp.n + mp.m)
+
+
+def test_is_clique_union_stops_at_the_first_outsider():
+    # One 2-switch joins the first two of 50 disjoint K4: old vertex 2 keeps
+    # the closed neighbourhood {0, 1, 2, 3}, while its neighbour 0 now has
+    # {0, 2, 3, 4}.  Relabelled at random with old 0 and 2 moved to labels 0
+    # and 1, the first vertex with a lower neighbour lies in no clique
+    # component, and the scan stops there.
+    switch = SwitchStep(removed=((0, 1), (4, 5)), added=((0, 4), (1, 5)))
+    g = two_switch(clique_union([4] * 50), switch)
+    rest = [1, *range(3, 200)]
+    random.Random(16).shuffle(rest)
+    label = {old: new for new, old in enumerate([0, 2, *rest])}
+    h = Graph(200, [(label[u], label[v]) for u, v in g.edges()])
+    counter = OpCounter()
+    assert is_clique_union(h, counter=counter) is None
+    assert counter.count == 2
+    assert brute_force_is_clique_union(h) is None
+    # The full pass that the witness strip uses still counts every vertex.
+    counter = OpCounter()
+    assert sum(q for _, q in clique_classes(h.adjacency_masks(), h.degrees(), counter)) < 200
+    assert counter.count == 200
 
 
 def test_from_degrees_touch_only_multiplicities():
