@@ -5,7 +5,8 @@ Given a non-canonical graph that shares its degree sequence with a union of
 k cliques, the construction produces an independent set of size k + 1
 without any exhaustive search: strip clique components, take a greedy
 maximal set in the minimum-degree layers (repairing by a swap if it is too
-small), then absorb one new vertex per remaining layer.
+small), then absorb one new vertex per remaining layer in a single extension
+step.
 """
 
 from kpartite import (
@@ -28,7 +29,9 @@ p5 = path_graph(5)
 profile = clique_union_profile_from_degrees(degree_sequence(p5))
 print(f"degrees {list(degree_sequence(p5))} -> clique sizes {profile.parts}, k={profile.k}")
 state = initial_proof_state(p5, profile)
-print("layers (by degree):", state.layers)
+# Each layer is a vertex mask on the graph's rows; print it as its vertices.
+layers = tuple(tuple(v for v in range(p5.n) if mask >> v & 1) for mask in state.layers)
+print("layers (by degree):", layers)
 state = base_independent_set(state)
 print("greedy base in the minimum layers:", list(state.independent))
 state = extend_independent_set(state)

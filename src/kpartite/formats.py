@@ -196,10 +196,16 @@ def decode_dimacs(text: str) -> Graph:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if n is not None:
+                raise FormatError(f"second problem line: {raw!r}")
             tokens = line.split()
             if len(tokens) != 4 or tokens[1].lower() != "edge":
                 raise FormatError(f"bad problem line: {raw!r}")
-            n, declared_m = _header_vertex_count(int(tokens[2])), int(tokens[3])
+            try:
+                size, declared_m = int(tokens[2]), int(tokens[3])
+            except ValueError:
+                raise FormatError(f"bad problem line: {raw!r}") from None
+            n = _header_vertex_count(size)
             continue
         if line.startswith("e"):
             if n is None:
@@ -207,9 +213,14 @@ def decode_dimacs(text: str) -> Graph:
             tokens = line.split()
             if len(tokens) != 3:
                 raise FormatError(f"bad edge line: {raw!r}")
-            u, v = int(tokens[1]) - 1, int(tokens[2]) - 1
+            try:
+                u, v = int(tokens[1]) - 1, int(tokens[2]) - 1
+            except ValueError:
+                raise FormatError(f"bad edge line: {raw!r}") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise FormatError(f"edge {raw!r} out of range for n={n}")
+            if u == v:
+                raise FormatError(f"loop {raw!r} not allowed")
             edges.append((u, v))
             continue
         raise FormatError(f"unrecognized DIMACS line: {raw!r}")

@@ -20,10 +20,10 @@ k + 1 in polynomial time:
    disjoint and to cover everything else; some chosen vertex then has two
    non-adjacent neighbors (otherwise the remainder would contain a clique
    component), and swapping it for that pair yields c + 1 vertices.
-4. Extension step: layers are added one at a time.  All current members have
-   degree at most one less than their layer's part size, so they cannot
-   dominate the strictly larger next layer; an index-ascending scan finds a
-   vertex non-adjacent to all members.
+4. Extension step: the remaining layers are added one at a time, in order.
+   All current members have degree at most one less than their layer's part
+   size, so they cannot dominate the strictly larger next layer; an
+   index-ascending scan finds a vertex non-adjacent to all members.
 
 Steps 2-4 run on the input's own rows, limited to the vertices the strip keeps.
 Each step is deterministic, so certificates are reproducible.
@@ -46,14 +46,16 @@ from .sequences import CLIQUE_SIZES, PartitionProfile, clique_union_profile_from
 @dataclass(frozen=True)
 class ProofState:
     """Working state of the constructive search.  Vertex sets are masks on the
-    host's ``rows``: ``chosen`` holds the members, ``blocked`` the members and
-    their neighbours, ``free`` the vertices outside ``blocked`` of the layers in
+    host's ``rows``: ``layers`` holds one mask per part, in ascending part
+    size (the masks are disjoint, so a sum of them is their union);
+    ``chosen`` holds the members, ``blocked`` the members and their
+    neighbours, ``free`` the vertices outside ``blocked`` of the layers in
     play (the c minimum layers and ``level`` more)."""
 
     rows: tuple[int, ...]
     profile: PartitionProfile
     min_part_count: int
-    layers: tuple[tuple[int, ...], ...]
+    layers: tuple[int, ...]
     level: int
     chosen: int
     blocked: int
@@ -110,7 +112,7 @@ def _proof_state(
 ) -> ProofState:
     """State on the rows of ``g``.  The layers split the ascending ``kept``
     vertices (components, none a clique) by the sorted part sizes: the layer
-    for size a takes a vertices of degree a - 1, in index order."""
+    for size a is the mask of a vertices of degree a - 1, in index order."""
     parts = profile.parts
     if not parts:
         raise ProofStateError("empty profile; graph was fully stripped")
@@ -118,7 +120,7 @@ def _proof_state(
     by_degree: dict[int, list[int]] = {}
     for v in kept:
         by_degree.setdefault(degrees[v], []).append(v)
-    layers: list[tuple[int, ...]] = []
+    layers: list[int] = []
     cursor: dict[int, int] = {}
     for a in parts:
         bucket = by_degree.get(a - 1, [])
@@ -129,13 +131,9 @@ def _proof_state(
                 f"degree class {a - 1} too small for part of size {a}"
             )
         cursor[a] = start + a
-        layers.append(tuple(chunk))
+        layers.append(sum(1 << v for v in chunk))
     c = parts.count(parts[0])
-    return ProofState(rows, profile, c, tuple(layers), 0, 0, 0, _mask(layers[:c]))
-
-
-def _mask(layers: Iterable[tuple[int, ...]]) -> int:
-    return sum(1 << v for layer in layers for v in layer)
+    return ProofState(rows, profile, c, tuple(layers), 0, 0, 0, sum(layers[:c]))
 
 
 def base_independent_set(
@@ -150,7 +148,7 @@ def base_independent_set(
     """
     rows = state.rows
     c = state.min_part_count
-    core = _mask(state.layers[:c])
+    core = sum(state.layers[:c])
     if counter is not None:
         counter.bump(core.bit_count())
     chosen = _greedy_independent(core, rows)
@@ -164,7 +162,7 @@ def base_independent_set(
     blocked = 0
     for v in iter_bits(chosen):
         blocked |= rows[v] | 1 << v
-    free = _mask(state.layers[: c + level]) & ~blocked
+    free = sum(state.layers[: c + level]) & ~blocked
     return ProofState(
         rows, state.profile, c, state.layers, level, chosen, blocked, free
     )
@@ -193,27 +191,28 @@ def _swap_repair(
 def extend_independent_set(
     state: ProofState, counter: OpCounter | None = None
 ) -> ProofState:
-    """Bring the next layer into play and add the lowest-indexed vertex
-    non-adjacent to all members: O(n / w) word operations on the masks."""
+    """Bring every remaining layer into play, in order, and for each add the
+    lowest-indexed vertex of the layers in play that is non-adjacent to all
+    members: one counted step and O(n / w) word operations per layer.  The
+    result is at level k - c and has one more member per layer added."""
     c = state.min_part_count
-    if state.level >= state.profile.k - c:
+    level = state.profile.k - c
+    if state.level >= level:
         raise ProofStateError("no further layers to extend into")
-    level = state.level + 1
-    free = state.free | _mask(state.layers[c + state.level : c + level])
-    free &= ~state.blocked
-    if counter is not None:
-        counter.bump()
-    if not free:
-        raise ProofStateError(
-            "extension scan found no vertex; degree bookkeeping violated"
-        )
-    low = free & -free
-    chosen = state.chosen | low
-    blocked = state.blocked | state.rows[low.bit_length() - 1] | low
+    rows, chosen, blocked, free = state.rows, state.chosen, state.blocked, state.free
+    for layer in state.layers[c + state.level :]:
+        free = (free | layer) & ~blocked
+        if counter is not None:
+            counter.bump()
+        if not free:
+            raise ProofStateError(
+                "extension scan found no vertex; degree bookkeeping violated"
+            )
+        low = free & -free
+        chosen |= low
+        blocked |= rows[low.bit_length() - 1] | low
     free &= ~blocked
-    return ProofState(
-        state.rows, state.profile, c, state.layers, level, chosen, blocked, free
-    )
+    return ProofState(rows, state.profile, c, state.layers, level, chosen, blocked, free)
 
 
 def witness_independent_set(
@@ -238,7 +237,7 @@ def witness_independent_set(
         )
     state = _proof_state(g, kept, reduced)
     state = base_independent_set(state, counter)
-    while state.chosen.bit_count() < reduced.k + 1:
+    if state.level < reduced.k - state.min_part_count:
         state = extend_independent_set(state, counter)
     chosen = frozenset([*iter_bits(state.chosen), *lowest])
     certificate = WitnessCertificate(chosen, INDEPENDENT_SET)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -235,6 +236,19 @@ def test_dimacs_parsing():
     assert decode_dimacs("p edge 258047 0\n").n == 258047
     for text in ("p edge 258048 1\ne 1 2\n", "p edge 1000000000 0\n", "p edge -1 0\n"):
         with pytest.raises(FormatError):
+            decode_dimacs(text)
+    # Non-integer fields, loops and a second problem line are format errors
+    # that name the line, not a ValueError from int() or from the Graph
+    # constructor.
+    for text, line in (
+        ("p edge x 1\n", "p edge x 1"),
+        ("p edge 2 y\n", "p edge 2 y"),
+        ("p edge 2 1\ne 1 y\n", "e 1 y"),
+        ("p edge 2 1\ne 1 1\n", "e 1 1"),
+        ("p edge 5 1\ne 4 5\np edge 2 1\n", "p edge 2 1"),
+        ("p edge 2 1\np edge 5 1\ne 4 5\n", "p edge 5 1"),
+    ):
+        with pytest.raises(FormatError, match=re.escape(repr(line))):
             decode_dimacs(text)
 
 

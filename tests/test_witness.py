@@ -10,6 +10,7 @@ from kpartite import (
     OpCounter,
     OutsideFamilyError,
     PartitionProfile,
+    ProofState,
     ProofStateError,
     base_independent_set,
     clique_union,
@@ -34,6 +35,7 @@ from kpartite import (
     witness_clique,
     witness_independent_set,
 )
+from kpartite import witness as witness_module
 from kpartite.sequences import CLIQUE_SIZES
 
 
@@ -166,18 +168,24 @@ def test_witness_clique_duals():
         witness_clique(complete_multipartite([3, 3, 4]))
 
 
-def test_witness_sound_on_every_noncanonical_realization_up_to_8():
-    for profile in iter_profiles(8):
+def test_witness_sound_on_every_noncanonical_realization_up_to_10():
+    # The paper's constructive direction, exhaustively: every non-canonical
+    # realization of every clique-union profile up to total 10 gets a valid
+    # certificate with k + 1 <= size <= alpha.
+    noncanonical = 0
+    for profile in iter_profiles(10):
         k = profile.k
         for g in enumerate_realizations(profile.degree_sequence()):
             if is_clique_union(g) is not None:
                 with pytest.raises(CanonicalGraphError):
                     witness_independent_set(g)
                 continue
+            noncanonical += 1
             cert = witness_independent_set(g)
             assert validate_certificate(g, cert)
             assert cert.size >= k + 1
             assert cert.size <= max_independent_set(g).size
+    assert noncanonical == 2313
 
 
 def test_witness_on_large_random_family_members():
@@ -253,6 +261,43 @@ def test_public_steps_are_the_production_path():
         assert state.independent == witness_independent_set(h).sorted_vertices()
         # Linear in counted steps, as for the whole witness.
         assert counter.count <= 2 * (h.n + h.m)
+
+
+def test_one_extension_call_adds_every_remaining_layer():
+    # One call brings in all layers the base step leaves, with one counted
+    # step per layer, and ends at k + 1 members with no layer left.
+    several_left = 0
+    for g in _digest_corpus():
+        profile = clique_union_profile_from_degrees(degree_sequence(g))
+        h, reduced = strip_clique_components(g, profile)
+        state = base_independent_set(initial_proof_state(h, reduced))
+        left = reduced.k - state.min_part_count - state.level
+        if left < 2:
+            continue
+        several_left += 1
+        counter = OpCounter()
+        state = extend_independent_set(state, counter)
+        assert counter.count == left
+        assert len(state.independent) == reduced.k + 1
+        with pytest.raises(ProofStateError, match="no further layers"):
+            extend_independent_set(state)
+    assert several_left > 0
+
+
+def test_witness_builds_three_states(monkeypatch):
+    # Initial, base and extended: the number of states does not grow with
+    # the number of layers, and this member leaves 763 after the base step.
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        return ProofState(*fields)
+
+    g = _switched_clique_union(5333, seed=1)
+    monkeypatch.setattr(witness_module, "ProofState", counted)
+    cert = witness_independent_set(g)
+    assert validate_certificate(g, cert)
+    assert 0 < len(built) <= 3
 
 
 def test_witness_clique_on_dense_8000_vertex_member():
