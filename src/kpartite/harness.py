@@ -18,7 +18,7 @@ from .exact import max_independent_set
 from .formats import encode_csv
 from .graph import Graph
 from .isomorphism import contains_induced
-from .realizations import ENUMERATION_CAP, enumerate_realizations
+from .realizations import ENUMERATION_CAP, check_enumeration_cap, enumerate_realizations
 from .recognition import is_clique_union
 from .sequences import DegreeSequence, PartitionProfile
 
@@ -63,8 +63,11 @@ def iter_profiles(max_n: int):
     total order and lexicographic partition order within each total.
 
     Each profile's realizations are enumerated, so ``max_n`` above
-    ``ENUMERATION_CAP`` raises here, before the first profile is produced.
+    ``ENUMERATION_CAP`` raises here, before the first profile is produced; a
+    negative ``max_n`` raises ValueError (0 gives no profile).
     """
+    if max_n < 0:
+        raise ValueError(f"max_n must be non-negative, got {max_n}")
     if max_n > ENUMERATION_CAP:
         raise GraphTooLargeError(
             f"verification is capped at total {ENUMERATION_CAP} vertices"
@@ -161,8 +164,11 @@ def bounds_report_rows(profiles: list[PartitionProfile]) -> list[list[str]]:
 
     ``sharpness_flagged`` marks non-canonical realizations where every
     classical independence bound stays below k + 1 <= exact alpha, i.e. where
-    the family bound beats all of them.
+    the family bound beats all of them.  Every profile is checked against
+    the enumeration cap before the first one is enumerated.
     """
+    for profile in profiles:
+        check_enumeration_cap(profile.n)
     rows: list[list[str]] = []
     for profile in profiles:
         k = profile.k

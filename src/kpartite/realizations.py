@@ -11,6 +11,18 @@ kept only as a guard that fails loudly otherwise.  Degree feasibility of every
 partial graph is checked with residual-capacity and Erdos-Gallai pruning.
 Degree-0 vertices are not searched: they are appended to every emitted graph.
 
+Each node of the search tests in this order: the children are generated with
+the cheap tests (the column-order filter within a target-degree block, then
+feasibility); only once the first child passes them is the node's own
+labeling tested for canonicity, and then its children are entered in order.
+A leaf is tested when it is reached.  This is exact: a prefix with no
+admissible child has no leaf below it, canonical or not, so skipping its
+test drops no graph, and the children keep their order, so the emitted
+graphs and their order are those of testing every child before entering it.
+Deferring the test further, to the first leaf below a prefix, makes fewer
+tests but walks the dead subtrees under non-canonical prefixes, and a
+campaign over totals <= 10 ran about 1.5 times slower.
+
 The 2-switch sampler draws from the standard library's ``random.Random``
 seeded with the walk seed.  Only its ``random()`` floats are used, the one
 stream Python keeps the same across versions, so walks replay from the seed
@@ -109,6 +121,14 @@ def _merge_into(group: list[int], moved: list[int]) -> None:
         group.sort()
 
 
+def check_enumeration_cap(n: int) -> None:
+    """Raise GraphTooLargeError if ``n`` vertices exceed ``ENUMERATION_CAP``."""
+    if n > ENUMERATION_CAP:
+        raise GraphTooLargeError(
+            f"enumeration supports at most {ENUMERATION_CAP} vertices, got {n}"
+        )
+
+
 def enumerate_realizations(degrees: DegreeSequence) -> Iterator[Graph]:
     """Stream every simple graph with the given degree sequence, exactly one
     representative per isomorphism class, in a fixed deterministic order.
@@ -116,10 +136,7 @@ def enumerate_realizations(degrees: DegreeSequence) -> Iterator[Graph]:
     The cap and graphicality are checked at the call, before the first graph
     is produced.
     """
-    if degrees.n > ENUMERATION_CAP:
-        raise GraphTooLargeError(
-            f"enumeration supports at most {ENUMERATION_CAP} vertices, got {degrees.n}"
-        )
+    check_enumeration_cap(degrees.n)
     if not is_graphical(degrees):
         raise NonGraphicalError(f"{degrees!r} is not graphical")
     return _enumerate_graphs(degrees)
@@ -159,16 +176,11 @@ def _enumerate_graphs(degrees: DegreeSequence) -> Iterator[Graph]:
         combined = sorted(residual + list(future_targets), reverse=True)
         return _erdos_gallai_sorted(tuple(combined))
 
-    def extend(rows: tuple[int, ...], segs: tuple[int, ...]):
-        # ``rows`` holds the placed vertices; place vertex r.
+    def children(rows: tuple[int, ...], segs: tuple[int, ...]):
+        # Every placement of vertex r = len(rows) that passes the cheap
+        # tests, as (child rows, child segments), in size order and then
+        # combinations() order.
         r = len(rows)
-        if r == n:
-            # No residual test: feasible() with no vertex left needs all 0.
-            if rows in emitted:
-                raise AssertionError("enumeration emitted two isomorphic graphs")
-            emitted.add(rows)
-            yield Graph._from_rows(rows + isolated)
-            return
         t = targets[r]
         eligible = [u for u in range(r) if rows[u].bit_count() < targets[u]]
         low = max(0, t - (n - r - 1))
@@ -179,20 +191,44 @@ def _enumerate_graphs(degrees: DegreeSequence) -> Iterator[Graph]:
                 col = sum(1 << u for u in chosen)
                 seg = _column(col, range(r))
                 # A minimal labeling has non-decreasing columns within one
-                # target-degree block (restricted to shared positions).
+                # target-degree block (restricted to shared positions).  The
+                # first vertex sets the highest bit, so combinations() of
+                # one size come in decreasing code order: the first column
+                # below the previous one ends the size.
                 if same_rank and (seg >> 1) < segs[-1]:
-                    continue
+                    break
                 child = list(rows)
                 for u in chosen:
                     child[u] |= 1 << r
                 child_rows = (*child, col)
-                child_segs = (*segs, seg)
-                if feasible(child_rows) and labeling_is_canonical(
-                    child_rows, ranks[: r + 1], child_segs
-                ):
-                    yield from extend(child_rows, child_segs)
+                if feasible(child_rows):
+                    yield child_rows, (*segs, seg)
 
-    # One vertex is canonical, and is_graphical() is its feasible() test.
+    def extend(rows: tuple[int, ...], segs: tuple[int, ...]):
+        # ``rows`` holds the placed vertices; one vertex is canonical.
+        r = len(rows)
+        if r == n:
+            # No residual test: feasible() with no vertex left needs all 0.
+            if r > 1 and not labeling_is_canonical(rows, ranks, segs):
+                return
+            if rows in emitted:
+                raise AssertionError("enumeration emitted two isomorphic graphs")
+            emitted.add(rows)
+            yield Graph._from_rows(rows + isolated)
+            return
+        # The canonicity test waits for the first admissible child: a prefix
+        # with none yields nothing, canonical or not.
+        below = children(rows, segs)
+        first = next(below, None)
+        if first is None:
+            return
+        if r > 1 and not labeling_is_canonical(rows, ranks[:r], segs):
+            return
+        yield from extend(*first)
+        for child in below:
+            yield from extend(*child)
+
+    # is_graphical() is the feasible() test of the one-vertex prefix.
     yield from extend((0,), (0,))
 
 

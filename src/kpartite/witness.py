@@ -131,7 +131,9 @@ def _proof_state(
                 f"degree class {a - 1} too small for part of size {a}"
             )
         cursor[a] = start + a
-        layers.append(sum(1 << v for v in chunk))
+        # Shift the chunk's span once, not each vertex across all n bits.
+        low = chunk[0]
+        layers.append(sum(1 << (v - low) for v in chunk) << low)
     c = parts.count(parts[0])
     return ProofState(rows, profile, c, tuple(layers), 0, 0, 0, sum(layers[:c]))
 

@@ -178,6 +178,18 @@ def test_bounds_profile_campaign(capsys):
     assert any(line.startswith("3 3,") for line in lines[1:])
 
 
+def test_bounds_profiles_capped_before_any_enumeration(capsys, monkeypatch):
+    # (5,5) is within the cap, but (4,7) is not: the command exits 2 before
+    # the first profile is checked.
+    def never(*args, **kwargs):
+        raise AssertionError("check_profile called before the cap check")
+
+    monkeypatch.setattr(kpartite.harness, "check_profile", never)
+    code, out, err = run(capsys, "bounds", "--profiles", "5,5", "4,7")
+    assert code == 2 and out == ""
+    assert err == "error: enumeration supports at most 10 vertices, got 11\n"
+
+
 def test_witness_command(tmp_path, capsys):
     path = tmp_path / "c6.g6"
     save_graph(cycle_graph(6), str(path))
@@ -283,6 +295,14 @@ def test_verify_theorem_cli(capsys):
     # The cap is checked before the first profile is enumerated.
     code, out, err = run(capsys, "verify-theorem", "--max-n", "11")
     assert code == 2 and out == "" and "capped at total 10" in err
+
+
+def test_verify_theorem_rejects_negative_totals(capsys):
+    code, out, err = run(capsys, "verify-theorem", "--max-n", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: max_n must be non-negative, got -3\n"
+    code, out, _ = run(capsys, "verify-theorem", "--max-n", "0")
+    assert code == 0 and out == "checked 0 profiles up to total 0: 0 violations\n"
 
 
 def test_find_sharp_cli(capsys):

@@ -32,8 +32,11 @@ from kpartite import (
     random_switch_walk,
     two_switch,
 )
+import kpartite.realizations
 from kpartite.cli import main
+from kpartite.isomorphism import _column, _ranks_by_descending_value, labeling_is_canonical
 from kpartite.realizations import inverse_step
+from kpartite.sequences import _erdos_gallai_sorted
 
 from .conftest import all_graphs_up_to_iso
 
@@ -335,6 +338,90 @@ def test_enumeration_order_at_total_ten_matches_recorded_digest():
     assert digest.hexdigest() == (
         "3a7ed7c9e218cec2b5bd21bf1ac367a9596cb099bfc4c337846e90409bb82c73"
     )
+
+
+def _test_each_child_rows(degrees: DegreeSequence):
+    """Oracle: the orderly search as it was when each child was tested for
+    canonicity before its subtree was entered, with the column-order filter
+    skipping (not ending) the rest of a size.  Yields the emitted rows."""
+    targets = degrees.sorted(descending=True)
+    n = len(targets) - targets.count(0)
+    isolated = (0,) * (len(targets) - n)
+    if n == 0:
+        yield isolated
+        return
+    targets = targets[:n]
+    ranks = _ranks_by_descending_value(targets)
+
+    def feasible(rows):
+        placed = len(rows)
+        residual = [t - row.bit_count() for t, row in zip(targets, rows)]
+        if max(residual) > n - placed:
+            return False
+        future_targets = targets[placed:]
+        if sum(residual) > sum(min(t, placed) for t in future_targets):
+            return False
+        combined = sorted(residual + list(future_targets), reverse=True)
+        return _erdos_gallai_sorted(tuple(combined))
+
+    def extend(rows, segs):
+        r = len(rows)
+        if r == n:
+            yield rows + isolated
+            return
+        t = targets[r]
+        eligible = [u for u in range(r) if rows[u].bit_count() < targets[u]]
+        same_rank = ranks[r] == ranks[r - 1]
+        for size in range(max(0, t - (n - r - 1)), min(t, len(eligible)) + 1):
+            for chosen in combinations(eligible, size):
+                col = sum(1 << u for u in chosen)
+                seg = _column(col, range(r))
+                if same_rank and (seg >> 1) < segs[-1]:
+                    continue
+                child = list(rows)
+                for u in chosen:
+                    child[u] |= 1 << r
+                child_rows = (*child, col)
+                child_segs = (*segs, seg)
+                if feasible(child_rows) and labeling_is_canonical(
+                    child_rows, ranks[: r + 1], child_segs
+                ):
+                    yield from extend(child_rows, child_segs)
+
+    yield from extend((0,), (0,))
+
+
+def test_enumeration_order_matches_test_each_child_oracle():
+    # Deferring a prefix's canonicity test to its first admissible child, and
+    # ending a size at the first column below the block's previous one, must
+    # keep every graph and the emission order: every graphical sequence with
+    # at most 7 vertices, degree-0 vertices included.
+    sequences = 0
+    for n in range(8):
+        for seq in combinations_with_replacement(range(max(n, 1)), n):
+            ds = DegreeSequence(seq)
+            if is_graphical(ds):
+                ours = [g.adjacency_masks() for g in enumerate_realizations(ds)]
+                assert ours == list(_test_each_child_rows(ds)), seq
+                sequences += 1
+    assert sequences == 1 + 1 + 2 + 4 + 11 + 31 + 102 + 342
+
+
+def test_canonicity_tested_only_on_prefixes_with_an_admissible_child(monkeypatch):
+    # A prefix whose every child fails the column-order filter or feasible()
+    # is never tested; the search that tested each child made 9913 calls here.
+    calls = 0
+    test = kpartite.realizations.labeling_is_canonical
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return test(*args)
+
+    monkeypatch.setattr(kpartite.realizations, "labeling_is_canonical", counted)
+    graphs = list(enumerate_realizations(DegreeSequence([3] * 4 + [5] * 6)))
+    assert len(graphs) == 928
+    assert calls == 5909
 
 
 def test_graph_counts_by_vertex_count():
