@@ -135,6 +135,8 @@ def decode_edge_list(text: str) -> Graph:
         if not line:
             continue
         if line.startswith("n="):
+            if header_n is not None:
+                raise FormatError(f"second vertex-count header: {raw!r}")
             try:
                 header_n = _header_vertex_count(int(line[2:]))
             except ValueError as exc:

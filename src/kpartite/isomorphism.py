@@ -96,12 +96,28 @@ def _least_column(cands: int, placed: list[int]) -> tuple[int, int]:
     return seg, cands & -cands
 
 
+def _rank_slots(ranks: tuple[int, ...]) -> list[int]:
+    """Per position of a rank-respecting ordering, the mask of the vertices
+    that may sit there: those of the position's rank."""
+    by_rank: dict[int, int] = {}
+    for v, rank in enumerate(ranks):
+        by_rank[rank] = by_rank.get(rank, 0) | 1 << v
+    return [by_rank[rank] for rank in sorted(ranks)]
+
+
 def _search_min_segments(
     masks: tuple[int, ...], ranks: tuple[int, ...], incumbent: Sequence[int]
 ) -> list[int] | None:
-    """Column segments of the first rank-respecting ordering, in search
-    order, whose adjacency code is smaller than ``incumbent``'s; None when
-    no ordering beats it.
+    """:func:`_search_slots` with the slots of ``ranks``."""
+    return _search_slots(masks, _rank_slots(ranks), incumbent)
+
+
+def _search_slots(
+    masks: tuple[int, ...], slots: Sequence[int], incumbent: Sequence[int]
+) -> list[int] | None:
+    """Column segments of the first ordering that puts a vertex of
+    ``slots[i]`` at each position i, in search order, whose adjacency code
+    is smaller than ``incumbent``'s; None when no ordering beats it.
 
     The search walks only tight prefixes, whose segments equal the
     incumbent's.  At a tight node one pass over the placed rows, first
@@ -121,10 +137,6 @@ def _search_min_segments(
     prefix swaps their subtrees.
     """
     n = len(masks)
-    by_rank: dict[int, int] = {}
-    for v, rank in enumerate(ranks):
-        by_rank[rank] = by_rank.get(rank, 0) | 1 << v
-    slots = [by_rank[rank] for rank in sorted(ranks)]
     twins = _twin_masks(masks)
     placed: list[int] = []
 
@@ -179,11 +191,11 @@ def compose_code(segments: list[int]) -> int:
 
 
 def labeling_is_canonical(
-    masks: tuple[int, ...], ranks: tuple[int, ...], own: Sequence[int]
+    masks: tuple[int, ...], slots: Sequence[int], own: Sequence[int]
 ) -> bool:
     """True iff ``own`` (the graph's current labeling) attains the minimum code
-    over rank-respecting orderings."""
-    return _search_min_segments(masks, ranks, own) is None
+    over the orderings that respect the rank slots (:func:`_rank_slots`)."""
+    return _search_slots(masks, slots, own) is None
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:

@@ -7,9 +7,16 @@ triangle.  A partial graph survives only if its labeling attains the minimum
 column code over all orderings that respect the target degrees; the prefix of
 a minimal labeling is itself minimal, so this canonicity test is what makes
 every isomorphism class appear exactly once; the rows of emitted graphs are
-kept only as a guard that fails loudly otherwise.  Degree feasibility of every
-partial graph is checked with residual-capacity and Erdos-Gallai pruning.
-Degree-0 vertices are not searched: they are appended to every emitted graph.
+kept only as a guard that fails loudly otherwise.  Degree-0 vertices are not
+searched: they are appended to every emitted graph.
+
+Degree feasibility is read off one residual vector per node, the degree
+each placed vertex still needs.  A child may leave a placed vertex no more
+residual than there are vertices still to place, so a vertex that needs
+one more than that joins every child; the residual sum after a child
+depends only on the child's size, so what the future targets can take
+bounds the size from below; Erdos-Gallai on the child's residuals and the
+future targets runs only on the children that pass both.
 
 Each node of the search tests in this order: the children are generated with
 the cheap tests (the column-order filter within a target-degree block, then
@@ -19,6 +26,11 @@ A leaf is tested when it is reached.  This is exact: a prefix with no
 admissible child has no leaf below it, canonical or not, so skipping its
 test drops no graph, and the children keep their order, so the emitted
 graphs and their order are those of testing every child before entering it.
+The prefix one vertex short of a leaf is not tested at all: the last
+vertex must join every vertex with residual degree left, so that prefix has
+at most one child, a leaf; a leaf whose prefix is not minimal is not
+minimal, so the leaf's own test rejects it, and no subtree is walked in
+vain.
 Deferring the test further, to the first leaf below a prefix, makes fewer
 tests but walks the dead subtrees under non-canonical prefixes, and a
 campaign over totals <= 10 ran about 1.5 times slower.
@@ -39,7 +51,7 @@ from itertools import combinations
 
 from .errors import GraphTooLargeError, NonGraphicalError
 from .graph import Graph, complement, disjoint_union
-from .isomorphism import _column, _ranks_by_descending_value, labeling_is_canonical
+from .isomorphism import _rank_slots, _ranks_by_descending_value, labeling_is_canonical
 from .sequences import DegreeSequence, _erdos_gallai_sorted, is_graphical
 
 ENUMERATION_CAP = 10
@@ -148,8 +160,8 @@ def _enumerate_graphs(degrees: DegreeSequence) -> Iterator[Graph]:
     the zeros sort last and take the last rank, so the other ranks stay; an
     all-zero column can neither make a canonical prefix non-canonical nor be
     reordered into a smaller code; and each extra child that search tries is
-    one ``feasible()`` cuts.  ``n`` counts the positive targets only, so
-    isolated vertices are no capacity."""
+    one the feasibility tests cut.  ``n`` counts the positive targets only,
+    so isolated vertices are no capacity."""
     targets = degrees.sorted(descending=True)
     n = len(targets) - targets.count(0)
     isolated = (0,) * (len(targets) - n)
@@ -158,58 +170,19 @@ def _enumerate_graphs(degrees: DegreeSequence) -> Iterator[Graph]:
         return
     targets = targets[:n]
     ranks = _ranks_by_descending_value(targets)
+    # slots[r]: the rank slots of an r-vertex prefix.  supply[p]: the most
+    # edges the targets after p placed vertices can take from those p.
+    slots = [_rank_slots(ranks[:r]) for r in range(n + 1)]
+    supply = [sum(min(t, p) for t in targets[p:]) for p in range(n + 1)]
     # Rows of the graphs emitted so far: no class may be emitted twice.
     emitted: set[tuple[int, ...]] = set()
-
-    def feasible(rows: tuple[int, ...]) -> bool:
-        placed = len(rows)
-        future = n - placed
-        residual = [t - row.bit_count() for t, row in zip(targets, rows)]
-        if max(residual) > future:
-            return False
-        # Parity needs no test: residuals plus future targets sum to the even
-        # degree total minus twice the placed edges.
-        future_targets = targets[placed:]
-        supply = sum(min(t, placed) for t in future_targets)
-        if sum(residual) > supply:
-            return False
-        combined = sorted(residual + list(future_targets), reverse=True)
-        return _erdos_gallai_sorted(tuple(combined))
-
-    def children(rows: tuple[int, ...], segs: tuple[int, ...]):
-        # Every placement of vertex r = len(rows) that passes the cheap
-        # tests, as (child rows, child segments), in size order and then
-        # combinations() order.
-        r = len(rows)
-        t = targets[r]
-        eligible = [u for u in range(r) if rows[u].bit_count() < targets[u]]
-        low = max(0, t - (n - r - 1))
-        high = min(t, len(eligible))
-        same_rank = ranks[r] == ranks[r - 1]
-        for size in range(low, high + 1):
-            for chosen in combinations(eligible, size):
-                col = sum(1 << u for u in chosen)
-                seg = _column(col, range(r))
-                # A minimal labeling has non-decreasing columns within one
-                # target-degree block (restricted to shared positions).  The
-                # first vertex sets the highest bit, so combinations() of
-                # one size come in decreasing code order: the first column
-                # below the previous one ends the size.
-                if same_rank and (seg >> 1) < segs[-1]:
-                    break
-                child = list(rows)
-                for u in chosen:
-                    child[u] |= 1 << r
-                child_rows = (*child, col)
-                if feasible(child_rows):
-                    yield child_rows, (*segs, seg)
 
     def extend(rows: tuple[int, ...], segs: tuple[int, ...]):
         # ``rows`` holds the placed vertices; one vertex is canonical.
         r = len(rows)
         if r == n:
-            # No residual test: feasible() with no vertex left needs all 0.
-            if r > 1 and not labeling_is_canonical(rows, ranks, segs):
+            # No residual test: the last child's tests leave all residuals 0.
+            if r > 1 and not labeling_is_canonical(rows, slots[r], segs):
                 return
             if rows in emitted:
                 raise AssertionError("enumeration emitted two isomorphic graphs")
@@ -217,19 +190,87 @@ def _enumerate_graphs(degrees: DegreeSequence) -> Iterator[Graph]:
             yield Graph._from_rows(rows + isolated)
             return
         # The canonicity test waits for the first admissible child: a prefix
-        # with none yields nothing, canonical or not.
-        below = children(rows, segs)
+        # with none yields nothing, canonical or not.  The (n-1)-prefix is
+        # not tested: its one child is a leaf, which is tested.
+        below = _children(rows, segs, targets, ranks, supply)
         first = next(below, None)
         if first is None:
             return
-        if r > 1 and not labeling_is_canonical(rows, ranks[:r], segs):
+        if 1 < r < n - 1 and not labeling_is_canonical(rows, slots[r], segs):
             return
         yield from extend(*first)
         for child in below:
             yield from extend(*child)
 
-    # is_graphical() is the feasible() test of the one-vertex prefix.
+    # is_graphical() is the feasibility test of the one-vertex prefix.
     yield from extend((0,), (0,))
+
+
+def _children(
+    rows: tuple[int, ...],
+    segs: tuple[int, ...],
+    targets: tuple[int, ...],
+    ranks: tuple[int, ...],
+    supply: list[int],
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every placement of vertex r = len(rows) that passes the column-order
+    filter and the feasibility tests, as (child rows, child segments), in
+    size order and then combinations() order."""
+    n = len(targets)
+    r = len(rows)
+    t = targets[r]
+    future = n - r - 1
+    res = [target - row.bit_count() for target, row in zip(targets, rows)]
+    # A child leaves each placed vertex at most ``future`` residual degree.
+    # The parent's child test held every residual to ``future + 1`` (and
+    # is_graphical() the first vertex's), so a vertex with ``future + 1``
+    # joins every child and none has more.
+    must = [u for u in range(r) if res[u] > future]
+    free = [u for u in range(r) if 0 < res[u] <= future]
+    flip = [1 << (r - 1 - u) for u in range(r)]
+    # A child of any ``size`` leaves the residual sum sum(res) + t - 2 size,
+    # which the future targets must be able to take.
+    low = max(len(must), t - future, (sum(res) + t - supply[r + 1] + 1) // 2)
+    high = min(t, len(must) + len(free))
+    if low > high:
+        return
+    base_rows = list(rows)
+    base_col = base_seg = 0
+    for u in must:
+        base_rows[u] |= 1 << r
+        base_col |= 1 << u
+        base_seg |= flip[u]
+        res[u] -= 1
+    res += targets[r + 1 :]
+    same_rank = ranks[r] == ranks[r - 1]
+    for size in range(low, high + 1):
+        for chosen in combinations(free, size - len(must)):
+            col = base_col
+            seg = base_seg
+            for u in chosen:
+                col |= 1 << u
+                seg |= flip[u]
+            # A minimal labeling has non-decreasing columns within one
+            # target-degree block (restricted to shared positions).  The
+            # first vertex sets the highest bit, so combinations() of one
+            # size come in decreasing code order: the first column below
+            # the previous one ends the size.
+            if same_rank and (seg >> 1) < segs[-1]:
+                break
+            # Erdos-Gallai on the residuals and the future targets.  Parity
+            # needs no test: they sum to the even degree total minus twice
+            # the placed edges.
+            left = res.copy()
+            for u in chosen:
+                left[u] -= 1
+            left.append(t - size)
+            left.sort(reverse=True)
+            if not _erdos_gallai_sorted(left):
+                continue
+            child = base_rows.copy()
+            for u in chosen:
+                child[u] |= 1 << r
+            yield (*child, col), (*segs, seg)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ of ``n - d`` (multipartite) or of ``d + 1`` (clique union).
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import index
@@ -169,7 +169,7 @@ def is_graphical(degrees: DegreeSequence) -> bool:
     return _erdos_gallai_sorted(seq)
 
 
-def _erdos_gallai_sorted(seq: tuple[int, ...]) -> bool:
+def _erdos_gallai_sorted(seq: Sequence[int]) -> bool:
     # seq sorted non-increasing, all in [0, n), even sum.
     n = len(seq)
     # suffix[i] = sum(seq[i:]); seq[:w] are the entries >= k.

@@ -170,6 +170,14 @@ def test_bounds_input_vertex_cap(tmp_path, capsys, monkeypatch):
         assert "at most 10000 vertices" in err, err
 
 
+def test_second_edge_list_header_exits_2(tmp_path, capsys):
+    path = tmp_path / "two.edges"
+    path.write_text("n=9\n0 1\nn=3\n")
+    code, out, err = run(capsys, "recognize", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: second vertex-count header: 'n=3'\n", err
+
+
 def test_bounds_profile_campaign(capsys):
     code, out, _ = run(capsys, "bounds", "--profiles", "3,3", "2,2")
     assert code == 0

@@ -103,11 +103,23 @@ def test_edge_list_header_and_labels():
             decode_edge_list(text)
 
 
+def test_edge_list_second_header_is_an_error():
+    # A second ``n=`` header is a format error that names the line, as a
+    # second DIMACS problem line is; the last header no longer wins.
+    for text, line in (
+        ("n=9\n0 1\nn=3\n", "n=3"),
+        ("n=3\nn=3\n", "n=3"),
+        ("0 1\nn=2\n1 2\n  n=x \n", "  n=x "),
+    ):
+        with pytest.raises(FormatError, match=re.escape(f"second vertex-count header: {line!r}")):
+            decode_edge_list(text)
+
+
 def _edge_tuple_decode(text: str) -> Graph:
     """The edge-list decoder as written before rows were built from
     neighbour lists: labels numbered on first sight, one ``(u, v)`` tuple per
-    line, and the validating ``Graph(n, edges)``.  The oracle for
-    ``decode_edge_list``."""
+    line, and the validating ``Graph(n, edges)``; a second ``n=`` header is
+    an error, as it is in the decoder.  The oracle for ``decode_edge_list``."""
     header_n = None
     labels: dict[str, int] = {}
     edges = []
@@ -116,6 +128,8 @@ def _edge_tuple_decode(text: str) -> Graph:
         if not line:
             continue
         if line.startswith("n="):
+            if header_n is not None:
+                raise FormatError(f"second vertex-count header: {raw!r}")
             try:
                 n = int(line[2:])
                 if not 0 <= n <= 258047:
@@ -213,7 +227,7 @@ def test_edge_list_decoder_matches_edge_tuple_decoder():
         outcomes.append(ours)
     # The corpus reaches every error and plenty of accepted graphs.
     errors = {o.split(":")[1].split()[0] for o in outcomes if isinstance(o, str)}
-    assert errors == {"vertex", "bad", "expected", "loop", "header"}, errors
+    assert errors == {"vertex", "bad", "expected", "loop", "header", "second"}, errors
     assert sum(not isinstance(o, str) for o in outcomes) >= 100
 
 

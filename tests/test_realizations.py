@@ -34,7 +34,12 @@ from kpartite import (
 )
 import kpartite.realizations
 from kpartite.cli import main
-from kpartite.isomorphism import _column, _ranks_by_descending_value, labeling_is_canonical
+from kpartite.isomorphism import (
+    _column,
+    _rank_slots,
+    _ranks_by_descending_value,
+    labeling_is_canonical,
+)
 from kpartite.realizations import inverse_step
 from kpartite.sequences import _erdos_gallai_sorted
 
@@ -340,6 +345,44 @@ def test_enumeration_order_at_total_ten_matches_recorded_digest():
     )
 
 
+def _feasible(targets, rows):
+    """The feasibility test as it was when every child rebuilt its residuals:
+    ``rows`` are the placed vertices of a search on the positive
+    ``targets``."""
+    n = len(targets)
+    placed = len(rows)
+    residual = [t - row.bit_count() for t, row in zip(targets, rows)]
+    if max(residual) > n - placed:
+        return False
+    future_targets = targets[placed:]
+    if sum(residual) > sum(min(t, placed) for t in future_targets):
+        return False
+    combined = sorted(residual + list(future_targets), reverse=True)
+    return _erdos_gallai_sorted(tuple(combined))
+
+
+def _feasible_children(targets, ranks, rows, segs):
+    """The children of a prefix that pass the column-order filter (skipping,
+    not ending, the rest of a size) and ``_feasible``, in order."""
+    n = len(targets)
+    r = len(rows)
+    t = targets[r]
+    eligible = [u for u in range(r) if rows[u].bit_count() < targets[u]]
+    same_rank = ranks[r] == ranks[r - 1]
+    for size in range(max(0, t - (n - r - 1)), min(t, len(eligible)) + 1):
+        for chosen in combinations(eligible, size):
+            col = sum(1 << u for u in chosen)
+            seg = _column(col, range(r))
+            if same_rank and (seg >> 1) < segs[-1]:
+                continue
+            child = list(rows)
+            for u in chosen:
+                child[u] |= 1 << r
+            child_rows = (*child, col)
+            if _feasible(targets, child_rows):
+                yield child_rows, (*segs, seg)
+
+
 def _test_each_child_rows(degrees: DegreeSequence):
     """Oracle: the orderly search as it was when each child was tested for
     canonicity before its subtree was entered, with the column-order filter
@@ -353,42 +396,26 @@ def _test_each_child_rows(degrees: DegreeSequence):
     targets = targets[:n]
     ranks = _ranks_by_descending_value(targets)
 
-    def feasible(rows):
-        placed = len(rows)
-        residual = [t - row.bit_count() for t, row in zip(targets, rows)]
-        if max(residual) > n - placed:
-            return False
-        future_targets = targets[placed:]
-        if sum(residual) > sum(min(t, placed) for t in future_targets):
-            return False
-        combined = sorted(residual + list(future_targets), reverse=True)
-        return _erdos_gallai_sorted(tuple(combined))
-
     def extend(rows, segs):
         r = len(rows)
         if r == n:
             yield rows + isolated
             return
-        t = targets[r]
-        eligible = [u for u in range(r) if rows[u].bit_count() < targets[u]]
-        same_rank = ranks[r] == ranks[r - 1]
-        for size in range(max(0, t - (n - r - 1)), min(t, len(eligible)) + 1):
-            for chosen in combinations(eligible, size):
-                col = sum(1 << u for u in chosen)
-                seg = _column(col, range(r))
-                if same_rank and (seg >> 1) < segs[-1]:
-                    continue
-                child = list(rows)
-                for u in chosen:
-                    child[u] |= 1 << r
-                child_rows = (*child, col)
-                child_segs = (*segs, seg)
-                if feasible(child_rows) and labeling_is_canonical(
-                    child_rows, ranks[: r + 1], child_segs
-                ):
-                    yield from extend(child_rows, child_segs)
+        for child_rows, child_segs in _feasible_children(targets, ranks, rows, segs):
+            if labeling_is_canonical(child_rows, _rank_slots(ranks[: r + 1]), child_segs):
+                yield from extend(child_rows, child_segs)
 
     yield from extend((0,), (0,))
+
+
+def _graphical_sequences_up_to_seven():
+    """Every graphical sequence with at most 7 vertices, degree-0 vertices
+    included."""
+    for n in range(8):
+        for seq in combinations_with_replacement(range(max(n, 1)), n):
+            ds = DegreeSequence(seq)
+            if is_graphical(ds):
+                yield ds
 
 
 def test_enumeration_order_matches_test_each_child_oracle():
@@ -397,19 +424,73 @@ def test_enumeration_order_matches_test_each_child_oracle():
     # keep every graph and the emission order: every graphical sequence with
     # at most 7 vertices, degree-0 vertices included.
     sequences = 0
-    for n in range(8):
-        for seq in combinations_with_replacement(range(max(n, 1)), n):
-            ds = DegreeSequence(seq)
-            if is_graphical(ds):
-                ours = [g.adjacency_masks() for g in enumerate_realizations(ds)]
-                assert ours == list(_test_each_child_rows(ds)), seq
-                sequences += 1
+    for ds in _graphical_sequences_up_to_seven():
+        ours = [g.adjacency_masks() for g in enumerate_realizations(ds)]
+        assert ours == list(_test_each_child_rows(ds)), ds
+        sequences += 1
     assert sequences == 1 + 1 + 2 + 4 + 11 + 31 + 102 + 342
 
 
+def test_per_node_tests_admit_exactly_the_feasible_children(monkeypatch):
+    # On every prefix the enumerator visits, the tests on one residual vector
+    # per node admit exactly the children that rebuilding every residual
+    # (_feasible) admits, in the same order.  The column-order filter ends a
+    # size in the enumerator and skips a column in the reference; both keep
+    # the same children because a size's columns come in decreasing order.
+    inner = kpartite.realizations._children
+    visited = 0
+
+    def checked(rows, segs, targets, ranks, supply):
+        nonlocal visited
+        visited += 1
+        ours = list(inner(rows, segs, targets, ranks, supply))
+        assert ours == list(_feasible_children(targets, ranks, rows, segs)), (targets, rows)
+        return iter(ours)
+
+    monkeypatch.setattr(kpartite.realizations, "_children", checked)
+    for ds in _graphical_sequences_up_to_seven():
+        for _ in enumerate_realizations(ds):
+            pass
+    assert visited >= 1000, visited
+
+
+def test_last_prefix_needs_no_canonicity_test(monkeypatch):
+    # The (n-1)-prefix is not tested because its only possible child is a
+    # leaf: every (n-1)-prefix has at most one admissible child, and the
+    # (n-1)-prefix of every emitted leaf passes the test (a prefix of a
+    # minimal labeling is minimal), so the leaf test alone decides.
+    inner = kpartite.realizations._children
+    last_prefixes = 0
+
+    def checked(rows, segs, targets, ranks, supply):
+        nonlocal last_prefixes
+        ours = list(inner(rows, segs, targets, ranks, supply))
+        if len(rows) == len(targets) - 1:
+            last_prefixes += 1
+            assert len(ours) <= 1, (targets, rows)
+        return iter(ours)
+
+    monkeypatch.setattr(kpartite.realizations, "_children", checked)
+    leaves = 0
+    for ds in _graphical_sequences_up_to_seven():
+        targets = tuple(t for t in ds.sorted(descending=True) if t)
+        n = len(targets)
+        slots = _rank_slots(_ranks_by_descending_value(targets)[: n - 1])
+        for g in enumerate_realizations(ds):
+            if n < 3:
+                continue
+            prefix = tuple(row & ~(1 << (n - 1)) for row in g.adjacency_masks()[: n - 1])
+            segs = [_column(prefix[v], range(v)) for v in range(n - 1)]
+            assert labeling_is_canonical(prefix, slots, segs), (ds, g.edges())
+            leaves += 1
+    assert last_prefixes >= leaves >= 1000, (last_prefixes, leaves)
+
+
 def test_canonicity_tested_only_on_prefixes_with_an_admissible_child(monkeypatch):
-    # A prefix whose every child fails the column-order filter or feasible()
-    # is never tested; the search that tested each child made 9913 calls here.
+    # A prefix whose every child fails the column-order filter or the
+    # feasibility tests is never tested, nor is the (n-1)-prefix, whose one
+    # child is a tested leaf; the search that tested each child made 9913
+    # calls here, and testing the (n-1)-prefixes too made 5909.
     calls = 0
     test = kpartite.realizations.labeling_is_canonical
 
@@ -421,7 +502,7 @@ def test_canonicity_tested_only_on_prefixes_with_an_admissible_child(monkeypatch
     monkeypatch.setattr(kpartite.realizations, "labeling_is_canonical", counted)
     graphs = list(enumerate_realizations(DegreeSequence([3] * 4 + [5] * 6)))
     assert len(graphs) == 928
-    assert calls == 5909
+    assert calls == 4903
 
 
 def test_graph_counts_by_vertex_count():
