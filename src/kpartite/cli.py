@@ -84,6 +84,8 @@ def parse_named_graph(name: str) -> Graph:
 
 def _parse_profile(text: str) -> PartitionProfile:
     parts = tuple(int(tok) for tok in text.replace(",", " ").split())
+    if not parts:
+        raise ValueError(f"profile {text!r} has no part sizes")
     return PartitionProfile(parts)
 
 

@@ -17,10 +17,10 @@ from .errors import GraphTooLargeError
 from .exact import max_independent_set
 from .formats import encode_csv
 from .graph import Graph
-from .isomorphism import contains_induced
+from .isomorphism import check_pattern_cap, contains_induced
 from .realizations import ENUMERATION_CAP, check_enumeration_cap, enumerate_realizations
 from .recognition import is_clique_union
-from .sequences import DegreeSequence, PartitionProfile
+from .sequences import PartitionProfile
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class CampaignResult:
     """Outcome of checking one part profile's full realization class."""
 
     profile: PartitionProfile
-    degree_sequence: DegreeSequence
     realization_count: int
     canonical_found: bool
     canonical_alpha: int | None
@@ -119,7 +118,6 @@ def check_profile(profile: PartitionProfile, with_reports: bool = True) -> Campa
         holds = False
     return CampaignResult(
         profile=profile,
-        degree_sequence=target,
         realization_count=count,
         canonical_found=canonical_found,
         canonical_alpha=canonical_alpha,
@@ -139,7 +137,10 @@ def find_sharp_example(
 ) -> Graph | None:
     """First enumerated non-canonical realization of the profile's clique
     union degree sequence whose independence number is exactly k + 1 and that
-    contains every pattern as an induced subgraph."""
+    contains every pattern as an induced subgraph.  The pattern cap is
+    checked before the first realization is enumerated."""
+    for pattern in patterns:
+        check_pattern_cap(pattern)
     target = profile.degree_sequence()
     k = profile.k
     for g in enumerate_realizations(target):

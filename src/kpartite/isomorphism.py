@@ -5,17 +5,17 @@ bit string of its adjacency matrix, read column by column, minimized over all
 vertex orderings that respect the degree partition (iteratively refined by
 neighbor-degree signatures).
 
-One search serves both uses: given an incumbent ordering's column segments,
-a depth-first search returns the first ordering with a smaller code, or
-None.  It walks only prefixes whose segments equal the incumbent's, holding
-the candidates of a position as a bitmask: one pass over the placed rows
-splits them into those whose column equals the incumbent's segment and
-those already below it.  Any vertex below ends the search, which completes
-the ordering greedily; otherwise it recurses into the equal ones, placing
-only one vertex of each class of interchangeable (twin) vertices, which
-keeps highly symmetric graphs cheap.  The orderly enumerator accepts a
-labeling when nothing beats it; ``canonical_key`` starts from the
-rank-sorted ordering and replaces the incumbent until nothing is smaller,
+One search serves both uses: it reads the graph's own labeling off its
+rows and returns the first ordering with a smaller code, or None.  It walks
+only prefixes whose columns equal the own labeling's, holding the
+candidates of a position as a bitmask: one pass over the placed rows splits
+them into those whose column equals the own one and those already below
+it.  Any vertex below ends the search, which completes the ordering
+greedily; otherwise it recurses into the equal ones, placing only one
+vertex of each class of interchangeable (twin) vertices, which keeps highly
+symmetric graphs cheap.  The orderly enumerator accepts a labeling when
+nothing beats it; ``canonical_key`` relabels the graph by the rank-sorted
+ordering, then by each smaller ordering found, until nothing is smaller,
 which reaches the unique minimum code.
 
 Intended for small graphs; hard cap of 12 vertices.
@@ -23,7 +23,7 @@ Intended for small graphs; hard cap of 12 vertices.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .errors import GraphTooLargeError
 from .graph import Graph, iter_bits
@@ -73,64 +73,47 @@ def _twin_masks(masks: tuple[int, ...]) -> list[int]:
     return [opened[mv] | closed[mv | 1 << v] for v, mv in enumerate(masks)]
 
 
-def _column(mv: int, placed: Iterable[int]) -> int:
-    """Adjacency of a vertex with row ``mv`` to ``placed``, first one high."""
-    seg = 0
-    for u in placed:
-        seg = (seg << 1) | ((mv >> u) & 1)
-    return seg
-
-
-def _least_column(cands: int, placed: list[int]) -> tuple[int, int]:
-    """``(column, bit)`` of the member of mask ``cands`` with the least
-    column against the ``placed`` rows, lowest index on ties: position by
-    position, keep the members not adjacent there, if there are any."""
-    seg = 0
+def _least_vertex(cands: int, placed: list[int]) -> int:
+    """Bit of the member of mask ``cands`` with the least column against the
+    ``placed`` rows, lowest index on ties: position by position, keep the
+    members not adjacent there, if there are any."""
     for row in placed:
         apart = cands & ~row
-        seg <<= 1
         if apart:
             cands = apart
-        else:
-            seg |= 1
-    return seg, cands & -cands
+    return cands & -cands
 
 
 def _rank_slots(ranks: tuple[int, ...]) -> list[int]:
     """Per position of a rank-respecting ordering, the mask of the vertices
-    that may sit there: those of the position's rank."""
+    that may sit there: those of the position's rank.  With sorted ranks,
+    the table of the whole ordering serves every prefix: a prefix's search
+    reads only its own positions, and masks out the vertices past it."""
     by_rank: dict[int, int] = {}
     for v, rank in enumerate(ranks):
         by_rank[rank] = by_rank.get(rank, 0) | 1 << v
     return [by_rank[rank] for rank in sorted(ranks)]
 
 
-def _search_min_segments(
-    masks: tuple[int, ...], ranks: tuple[int, ...], incumbent: Sequence[int]
-) -> list[int] | None:
-    """:func:`_search_slots` with the slots of ``ranks``."""
-    return _search_slots(masks, _rank_slots(ranks), incumbent)
+def _search_smaller(masks: tuple[int, ...], slots: Sequence[int]) -> list[int] | None:
+    """The vertices, by position, of the first ordering that puts a vertex
+    of ``slots[i]`` at each position i, in search order, whose adjacency
+    code is smaller than that of the graph's own labeling; None when no
+    ordering beats it.
 
-
-def _search_slots(
-    masks: tuple[int, ...], slots: Sequence[int], incumbent: Sequence[int]
-) -> list[int] | None:
-    """Column segments of the first ordering that puts a vertex of
-    ``slots[i]`` at each position i, in search order, whose adjacency code
-    is smaller than ``incumbent``'s; None when no ordering beats it.
-
-    The search walks only tight prefixes, whose segments equal the
-    incumbent's.  At a tight node one pass over the placed rows, first
-    placed (most significant) first, splits the unused vertices of the
-    position's rank into ``eq``, whose column so far equals
-    ``incumbent[depth]``, and ``lt``, already below it: where the
-    incumbent's bit is 1, the members of ``eq`` not adjacent to that placed
-    vertex move to ``lt``; where it is 0, the adjacent ones drop out.
+    The search walks only tight prefixes, whose columns equal the own
+    labeling's: vertex ``depth``'s column has bit i of ``masks[depth]`` at
+    placed position i.  At a tight node one pass over the placed rows,
+    first placed (most significant) first, splits the unused vertices of
+    the position's slot into ``eq``, whose column so far equals the own
+    one, and ``lt``, already below it: where the own bit is 1, the members
+    of ``eq`` not adjacent to that placed vertex move to ``lt``; where it
+    is 0, the adjacent ones drop out.
 
     A nonzero ``lt`` ends the search with the ordering that a search over
     sorted ``(column, vertex)`` candidates reaches first: every completion
     of a smaller prefix is smaller, so that search takes the least
-    candidate at each later position (:func:`_least_column`).  Otherwise
+    candidate at each later position (:func:`_least_vertex`).  Otherwise
     the search recurses into ``eq`` in ascending index, the sorted order
     among equal columns, one vertex per twin class (:func:`_twin_masks`):
     unused twins have equal columns, and an automorphism that fixes the
@@ -145,28 +128,29 @@ def _search_slots(
             return None
         eq = unused & slots[depth]
         lt = 0
-        target = incumbent[depth]
-        shift = depth
+        own = masks[depth]
         for row in placed:
-            shift -= 1
-            if target >> shift & 1:
+            if own & 1:
                 lt |= eq & ~row
                 eq &= row
             else:
                 eq &= ~row
             if not eq:
                 break
+            own >>= 1
         if lt:
-            segs = list(incumbent[:depth])
+            rest = []
             cands = lt
             while True:
-                seg, bit = _least_column(cands, placed)
-                segs.append(seg)
-                placed.append(masks[bit.bit_length() - 1])
+                bit = _least_vertex(cands, placed)
+                v = bit.bit_length() - 1
+                rest.append(v)
+                placed.append(masks[v])
                 unused ^= bit
                 depth += 1
                 if depth == n:
-                    return segs
+                    rest.reverse()
+                    return rest
                 cands = unused & slots[depth]
         while eq:
             bit = eq & -eq
@@ -175,27 +159,30 @@ def _search_slots(
             placed.append(masks[v])
             found = dfs(depth + 1, unused ^ bit)
             if found is not None:
+                found.append(v)
                 return found
             placed.pop()
         return None
 
-    return dfs(0, (1 << n) - 1)
+    # dfs builds the ordering last position first.
+    found = dfs(0, (1 << n) - 1)
+    return None if found is None else found[::-1]
 
 
-def compose_code(segments: list[int]) -> int:
-    """Pack per-position column segments into one integer code."""
+def _code(rows: tuple[int, ...]) -> int:
+    """The adjacency code of the labeling ``rows``: vertex by vertex, its
+    column against the earlier vertices, the first one most significant."""
     code = 0
-    for width, seg in enumerate(segments):
-        code = (code << width) | seg
+    for v, row in enumerate(rows):
+        for u in range(v):
+            code = code << 1 | row >> u & 1
     return code
 
 
-def labeling_is_canonical(
-    masks: tuple[int, ...], slots: Sequence[int], own: Sequence[int]
-) -> bool:
-    """True iff ``own`` (the graph's current labeling) attains the minimum code
-    over the orderings that respect the rank slots (:func:`_rank_slots`)."""
-    return _search_slots(masks, slots, own) is None
+def labeling_is_canonical(masks: tuple[int, ...], slots: Sequence[int]) -> bool:
+    """True iff the graph's own labeling attains the minimum code over the
+    orderings that respect the rank slots (:func:`_rank_slots`)."""
+    return _search_smaller(masks, slots) is None
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:
@@ -205,13 +192,15 @@ def canonical_key(g: Graph) -> tuple[int, int]:
             f"canonical labeling supports at most {MAX_CANONICAL_VERTICES} vertices"
         )
     n = g.n
-    masks = g.adjacency_masks()
-    ranks = _refine_ranks(n, masks, _ranks_by_descending_value(g.degrees()))
-    placed = sorted(range(n), key=ranks.__getitem__)
-    best = [_column(masks[v], placed[:depth]) for depth, v in enumerate(placed)]
-    while (smaller := _search_min_segments(masks, ranks, best)) is not None:
-        best = smaller
-    return n, compose_code(best)
+    rows = g.adjacency_masks()
+    ranks = _refine_ranks(n, rows, _ranks_by_descending_value(g.degrees()))
+    # Every ordering found keeps the relabelled ranks sorted: one slot table.
+    slots = _rank_slots(tuple(sorted(ranks)))
+    order = sorted(range(n), key=ranks.__getitem__)
+    while order is not None:
+        rows = tuple(sum(1 << i for i, u in enumerate(order) if rows[v] >> u & 1) for v in order)
+        order = _search_smaller(rows, slots)
+    return n, _code(rows)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -223,6 +212,14 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_key(g) == canonical_key(h)
 
 
+def check_pattern_cap(pattern: Graph) -> None:
+    """Raise GraphTooLargeError if ``pattern`` exceeds ``MAX_PATTERN_VERTICES``."""
+    if pattern.n > MAX_PATTERN_VERTICES:
+        raise GraphTooLargeError(
+            f"pattern is limited to {MAX_PATTERN_VERTICES} vertices"
+        )
+
+
 def contains_induced(g: Graph, pattern: Graph) -> bool:
     """True iff some vertex subset of ``g`` induces a copy of ``pattern``.
 
@@ -231,11 +228,8 @@ def contains_induced(g: Graph, pattern: Graph) -> bool:
     neighbours and distinct from and non-adjacent to the other images.  At
     worst about ``n^p`` maps; ``pattern`` is capped at 6 vertices.
     """
+    check_pattern_cap(pattern)
     p = pattern.n
-    if p > MAX_PATTERN_VERTICES:
-        raise GraphTooLargeError(
-            f"pattern is limited to {MAX_PATTERN_VERTICES} vertices"
-        )
     rows = g.adjacency_masks()
     pattern_rows = pattern.adjacency_masks()
     full = (1 << g.n) - 1

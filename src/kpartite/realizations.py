@@ -19,9 +19,12 @@ bounds the size from below; Erdos-Gallai on the child's residuals and the
 future targets runs only on the children that pass both.
 
 Each node of the search tests in this order: the children are generated with
-the cheap tests (the column-order filter within a target-degree block, then
-feasibility); only once the first child passes them is the node's own
-labeling tested for canonicity, and then its children are entered in order.
+the cheap tests (the column-order filter, then feasibility); only once the
+first child passes them is the node's own labeling tested for canonicity,
+and then its children are entered in order.  The filter compares a new
+column with the previous vertex's row, within a target-degree block, and
+the canonicity test reads the prefix's own rows against one slot table of
+the whole ordering, so the rows are the only record of a labeling.
 A leaf is tested when it is reached.  This is exact: a prefix with no
 admissible child has no leaf below it, canonical or not, so skipping its
 test drops no graph, and the children keep their order, so the emitted
@@ -169,20 +172,19 @@ def _enumerate_graphs(degrees: DegreeSequence) -> Iterator[Graph]:
         yield Graph._from_rows(isolated)
         return
     targets = targets[:n]
-    ranks = _ranks_by_descending_value(targets)
-    # slots[r]: the rank slots of an r-vertex prefix.  supply[p]: the most
-    # edges the targets after p placed vertices can take from those p.
-    slots = [_rank_slots(ranks[:r]) for r in range(n + 1)]
+    # One slot table serves every prefix.  supply[p]: the most edges the
+    # targets after p placed vertices can take from those p.
+    slots = _rank_slots(_ranks_by_descending_value(targets))
     supply = [sum(min(t, p) for t in targets[p:]) for p in range(n + 1)]
     # Rows of the graphs emitted so far: no class may be emitted twice.
     emitted: set[tuple[int, ...]] = set()
 
-    def extend(rows: tuple[int, ...], segs: tuple[int, ...]):
+    def extend(rows: tuple[int, ...]):
         # ``rows`` holds the placed vertices; one vertex is canonical.
         r = len(rows)
         if r == n:
             # No residual test: the last child's tests leave all residuals 0.
-            if r > 1 and not labeling_is_canonical(rows, slots[r], segs):
+            if r > 1 and not labeling_is_canonical(rows, slots):
                 return
             if rows in emitted:
                 raise AssertionError("enumeration emitted two isomorphic graphs")
@@ -192,30 +194,26 @@ def _enumerate_graphs(degrees: DegreeSequence) -> Iterator[Graph]:
         # The canonicity test waits for the first admissible child: a prefix
         # with none yields nothing, canonical or not.  The (n-1)-prefix is
         # not tested: its one child is a leaf, which is tested.
-        below = _children(rows, segs, targets, ranks, supply)
+        below = _children(rows, targets, supply)
         first = next(below, None)
         if first is None:
             return
-        if 1 < r < n - 1 and not labeling_is_canonical(rows, slots[r], segs):
+        if 1 < r < n - 1 and not labeling_is_canonical(rows, slots):
             return
-        yield from extend(*first)
+        yield from extend(first)
         for child in below:
-            yield from extend(*child)
+            yield from extend(child)
 
     # is_graphical() is the feasibility test of the one-vertex prefix.
-    yield from extend((0,), (0,))
+    yield from extend((0,))
 
 
 def _children(
-    rows: tuple[int, ...],
-    segs: tuple[int, ...],
-    targets: tuple[int, ...],
-    ranks: tuple[int, ...],
-    supply: list[int],
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    rows: tuple[int, ...], targets: tuple[int, ...], supply: list[int]
+) -> Iterator[tuple[int, ...]]:
     """Every placement of vertex r = len(rows) that passes the column-order
-    filter and the feasibility tests, as (child rows, child segments), in
-    size order and then combinations() order."""
+    filter and the feasibility tests, as the child's rows, in size order
+    and then combinations() order."""
     n = len(targets)
     r = len(rows)
     t = targets[r]
@@ -227,7 +225,6 @@ def _children(
     # joins every child and none has more.
     must = [u for u in range(r) if res[u] > future]
     free = [u for u in range(r) if 0 < res[u] <= future]
-    flip = [1 << (r - 1 - u) for u in range(r)]
     # A child of any ``size`` leaves the residual sum sum(res) + t - 2 size,
     # which the future targets must be able to take.
     low = max(len(must), t - future, (sum(res) + t - supply[r + 1] + 1) // 2)
@@ -235,27 +232,29 @@ def _children(
     if low > high:
         return
     base_rows = list(rows)
-    base_col = base_seg = 0
+    base_col = 0
     for u in must:
         base_rows[u] |= 1 << r
         base_col |= 1 << u
-        base_seg |= flip[u]
         res[u] -= 1
     res += targets[r + 1 :]
-    same_rank = ranks[r] == ranks[r - 1]
+    # A minimal labeling has non-decreasing columns within one target-degree
+    # block, compared on the shared positions, first position first: the
+    # new column is below the previous vertex's (its row, ``prev``) when
+    # the first position where they differ is set in ``prev``.  Outside a
+    # block ``prev`` is 0, which nothing is below.
+    prev = rows[r - 1] if t == targets[r - 1] else 0
+    shared = (1 << (r - 1)) - 1
     for size in range(low, high + 1):
         for chosen in combinations(free, size - len(must)):
             col = base_col
-            seg = base_seg
             for u in chosen:
                 col |= 1 << u
-                seg |= flip[u]
-            # A minimal labeling has non-decreasing columns within one
-            # target-degree block (restricted to shared positions).  The
-            # first vertex sets the highest bit, so combinations() of one
-            # size come in decreasing code order: the first column below
-            # the previous one ends the size.
-            if same_rank and (seg >> 1) < segs[-1]:
+            # The first position is the most significant, so combinations()
+            # of one size come in decreasing code order: the first column
+            # below the previous one ends the size.
+            differ = (col & shared) ^ prev
+            if prev & differ & -differ:
                 break
             # Erdos-Gallai on the residuals and the future targets.  Parity
             # needs no test: they sum to the even degree total minus twice
@@ -270,7 +269,7 @@ def _children(
             child = base_rows.copy()
             for u in chosen:
                 child[u] |= 1 << r
-            yield (*child, col), (*segs, seg)
+            yield (*child, col)
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,8 @@ def test_criterion_2_sharp_example_reproduction():
     import json
 
     payload = json.loads(runs[0].stdout)
+    # README documents this graph; the emission order decides it.
+    assert payload["graph6"] == "IBHJCA@c?"
     g = decode_graph6(payload["graph6"])
     assert g.n == 10
     assert degree_sequence(g) == degree_sequence(clique_union([3, 3, 4]))

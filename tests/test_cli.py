@@ -323,6 +323,31 @@ def test_find_sharp_cli(capsys):
     assert code == 0 and out == "" and "no matching realization" in err
 
 
+def test_find_sharp_checks_patterns_before_any_enumeration(capsys, monkeypatch):
+    # (2,2) has no non-canonical realization, so no pattern would reach
+    # contains_induced; the cap is checked before the first realization.
+    code, out, err = run(capsys, "find-sharp", "--profile", "2,2", "--patterns", "p7")
+    assert code == 2 and out == ""
+    assert err == "error: pattern is limited to 6 vertices\n"
+
+    def never(*args, **kwargs):
+        raise AssertionError("enumerate_realizations called before the pattern cap check")
+
+    monkeypatch.setattr(kpartite.harness, "enumerate_realizations", never)
+    code, out, err = run(capsys, "find-sharp", "--profile", "3,3", "--patterns", "p4,p7")
+    assert code == 2 and out == ""
+    assert err == "error: pattern is limited to 6 vertices\n"
+
+
+def test_empty_profiles_exit_2(capsys):
+    code, out, err = run(capsys, "find-sharp", "--profile", "")
+    assert code == 2 and out == ""
+    assert err == "error: profile '' has no part sizes\n"
+    code, out, err = run(capsys, "bounds", "--profiles", "3,3", "")
+    assert code == 2 and out == ""
+    assert err == "error: profile '' has no part sizes\n"
+
+
 def test_invalid_inputs_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "exact", "--alpha", "--input", str(tmp_path / "nope.g6"))
     assert code == 2

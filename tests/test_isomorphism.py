@@ -26,10 +26,10 @@ from kpartite import (
     petersen_graph,
 )
 from kpartite.isomorphism import (
-    _column,
+    _rank_slots,
     _ranks_by_descending_value,
     _refine_ranks,
-    _search_min_segments,
+    _search_smaller,
 )
 
 from .conftest import graphs_strategy, random_graph, random_graph_corpus
@@ -116,17 +116,32 @@ def test_canonical_keys_match_recorded_digest():
     )
 
 
+def _column(mv, placed):
+    """Adjacency of a vertex with row ``mv`` to ``placed``, first one high."""
+    seg = 0
+    for u in placed:
+        seg = (seg << 1) | ((mv >> u) & 1)
+    return seg
+
+
+def _relabel_rows(masks, order):
+    """Rows of the graph with vertex ``order[i]`` renamed i."""
+    return tuple(
+        sum(1 << i for i, u in enumerate(order) if masks[v] >> u & 1) for v in order
+    )
+
+
 def _candidate_list_search(masks, ranks, incumbent):
     """The canonicity search as written before the bit-parallel pass: each
     node builds every candidate's column, sorts the ``(column, vertex)``
-    list and skips a vertex whose twin class it already tried.  The oracle
-    for ``_search_min_segments``."""
+    list and skips a vertex whose twin class it already tried.  Returns the
+    vertices of the first ordering whose column segments are smaller than
+    ``incumbent``'s, or None.  The oracle for ``_search_smaller``."""
     n = len(masks)
     rank_seq = sorted(ranks)
     rows = Counter(masks)
     twin = [mv if rows[mv] > 1 else mv | 1 << v for v, mv in enumerate(masks)]
     placed: list[int] = []
-    segs: list[int] = []
 
     def dfs(depth, used, tight):
         if depth == n:
@@ -143,14 +158,12 @@ def _candidate_list_search(masks, ranks, incumbent):
             if tight and seg > incumbent[depth]:
                 break
             placed.append(v)
-            segs.append(seg)
             if dfs(depth + 1, used | 1 << v, tight and seg == incumbent[depth]):
                 return True
             placed.pop()
-            segs.pop()
         return False
 
-    return segs if dfs(0, 0, True) else None
+    return placed if dfs(0, 0, True) else None
 
 
 def _twin_rich_graph(n, rng):
@@ -173,8 +186,9 @@ def _twin_rich_graph(n, rng):
 def test_search_matches_candidate_list_dfs():
     # Seeded graphs with 1-11 vertices, half of them twin-rich.  Ranks as the
     # enumerator passes them (sorted target-degree ranks of another degree
-    # vector) and as canonical_key does (refined, unsorted); incumbents are
-    # the own labeling and random rank-respecting orderings.
+    # vector) and as canonical_key does (refined, unsorted); the incumbent is
+    # the own labeling of the graph relabelled by the identity or by a
+    # random rank-respecting ordering.
     rng = np.random.Generator(np.random.PCG64(1998))
     outcomes = Counter()
     for trial in range(8000):
@@ -186,21 +200,20 @@ def test_search_matches_candidate_list_dfs():
         masks = g.adjacency_masks()
         targets = tuple(sorted(rng.integers(0, n, n).tolist(), reverse=True))
         refined = _refine_ranks(n, masks, _ranks_by_descending_value(g.degrees()))
-        own = [_column(masks[v], range(v)) for v in range(n)]
         for ranks in (_ranks_by_descending_value(targets), refined):
-            incumbents = [own]
+            orders = [list(range(n))]
             for _ in range(2):
                 tiebreak = rng.random(n)
-                order = sorted(range(n), key=lambda v: (ranks[v], tiebreak[v]))
-                incumbents.append(
-                    [_column(masks[v], order[:depth]) for depth, v in enumerate(order)]
-                )
-            for incumbent in incumbents:
-                expected = _candidate_list_search(masks, ranks, incumbent)
-                assert _search_min_segments(masks, ranks, incumbent) == expected, (
+                orders.append(sorted(range(n), key=lambda v: (ranks[v], tiebreak[v])))
+            for order in orders:
+                rows = _relabel_rows(masks, order)
+                own_ranks = tuple(ranks[v] for v in order)
+                incumbent = [_column(rows[v], range(v)) for v in range(n)]
+                expected = _candidate_list_search(rows, own_ranks, incumbent)
+                assert _search_smaller(rows, _rank_slots(own_ranks)) == expected, (
                     g.edges(),
                     ranks,
-                    incumbent,
+                    order,
                 )
                 outcomes[expected is None] += 1
     assert outcomes[True] >= 10000 and outcomes[False] >= 10000, outcomes

@@ -35,7 +35,6 @@ from kpartite import (
 import kpartite.realizations
 from kpartite.cli import main
 from kpartite.isomorphism import (
-    _column,
     _rank_slots,
     _ranks_by_descending_value,
     labeling_is_canonical,
@@ -361,26 +360,36 @@ def _feasible(targets, rows):
     return _erdos_gallai_sorted(tuple(combined))
 
 
-def _feasible_children(targets, ranks, rows, segs):
+def _column(mv, placed):
+    """Adjacency of a vertex with row ``mv`` to ``placed``, first one high."""
+    seg = 0
+    for u in placed:
+        seg = (seg << 1) | ((mv >> u) & 1)
+    return seg
+
+
+def _feasible_children(targets, ranks, rows):
     """The children of a prefix that pass the column-order filter (skipping,
-    not ending, the rest of a size) and ``_feasible``, in order."""
+    not ending, the rest of a size) and ``_feasible``, in order.  The filter
+    compares column segments, first placed vertex in the high bit."""
     n = len(targets)
     r = len(rows)
     t = targets[r]
     eligible = [u for u in range(r) if rows[u].bit_count() < targets[u]]
     same_rank = ranks[r] == ranks[r - 1]
+    prev_seg = _column(rows[r - 1], range(r - 1))
     for size in range(max(0, t - (n - r - 1)), min(t, len(eligible)) + 1):
         for chosen in combinations(eligible, size):
             col = sum(1 << u for u in chosen)
             seg = _column(col, range(r))
-            if same_rank and (seg >> 1) < segs[-1]:
+            if same_rank and (seg >> 1) < prev_seg:
                 continue
             child = list(rows)
             for u in chosen:
                 child[u] |= 1 << r
             child_rows = (*child, col)
             if _feasible(targets, child_rows):
-                yield child_rows, (*segs, seg)
+                yield child_rows
 
 
 def _test_each_child_rows(degrees: DegreeSequence):
@@ -396,16 +405,16 @@ def _test_each_child_rows(degrees: DegreeSequence):
     targets = targets[:n]
     ranks = _ranks_by_descending_value(targets)
 
-    def extend(rows, segs):
+    def extend(rows):
         r = len(rows)
         if r == n:
             yield rows + isolated
             return
-        for child_rows, child_segs in _feasible_children(targets, ranks, rows, segs):
-            if labeling_is_canonical(child_rows, _rank_slots(ranks[: r + 1]), child_segs):
-                yield from extend(child_rows, child_segs)
+        for child_rows in _feasible_children(targets, ranks, rows):
+            if labeling_is_canonical(child_rows, _rank_slots(ranks[: r + 1])):
+                yield from extend(child_rows)
 
-    yield from extend((0,), (0,))
+    yield from extend((0,))
 
 
 def _graphical_sequences_up_to_seven():
@@ -440,11 +449,12 @@ def test_per_node_tests_admit_exactly_the_feasible_children(monkeypatch):
     inner = kpartite.realizations._children
     visited = 0
 
-    def checked(rows, segs, targets, ranks, supply):
+    def checked(rows, targets, supply):
         nonlocal visited
         visited += 1
-        ours = list(inner(rows, segs, targets, ranks, supply))
-        assert ours == list(_feasible_children(targets, ranks, rows, segs)), (targets, rows)
+        ours = list(inner(rows, targets, supply))
+        ranks = _ranks_by_descending_value(targets)
+        assert ours == list(_feasible_children(targets, ranks, rows)), (targets, rows)
         return iter(ours)
 
     monkeypatch.setattr(kpartite.realizations, "_children", checked)
@@ -462,9 +472,9 @@ def test_last_prefix_needs_no_canonicity_test(monkeypatch):
     inner = kpartite.realizations._children
     last_prefixes = 0
 
-    def checked(rows, segs, targets, ranks, supply):
+    def checked(rows, targets, supply):
         nonlocal last_prefixes
-        ours = list(inner(rows, segs, targets, ranks, supply))
+        ours = list(inner(rows, targets, supply))
         if len(rows) == len(targets) - 1:
             last_prefixes += 1
             assert len(ours) <= 1, (targets, rows)
@@ -480,10 +490,37 @@ def test_last_prefix_needs_no_canonicity_test(monkeypatch):
             if n < 3:
                 continue
             prefix = tuple(row & ~(1 << (n - 1)) for row in g.adjacency_masks()[: n - 1])
-            segs = [_column(prefix[v], range(v)) for v in range(n - 1)]
-            assert labeling_is_canonical(prefix, slots, segs), (ds, g.edges())
+            assert labeling_is_canonical(prefix, slots), (ds, g.edges())
             leaves += 1
     assert last_prefixes >= leaves >= 1000, (last_prefixes, leaves)
+
+
+def test_one_slot_table_serves_every_prefix(monkeypatch):
+    # The enumerator tests every prefix against the rank slots of the whole
+    # ordering; the slots of the prefix's own ranks, as the enumerator once
+    # built them per prefix length, give the same verdict on every prefix
+    # it visits (each child it enters; the one-vertex root is canonical).
+    inner = kpartite.realizations._children
+    visited = 0
+
+    def checked(rows, targets, supply):
+        nonlocal visited
+        ours = list(inner(rows, targets, supply))
+        ranks = _ranks_by_descending_value(targets)
+        whole = _rank_slots(ranks)
+        for child in ours:
+            own = _rank_slots(ranks[: len(child)])
+            assert labeling_is_canonical(child, whole) == labeling_is_canonical(
+                child, own
+            ), (targets, child)
+            visited += 1
+        return iter(ours)
+
+    monkeypatch.setattr(kpartite.realizations, "_children", checked)
+    for ds in _graphical_sequences_up_to_seven():
+        for _ in enumerate_realizations(ds):
+            pass
+    assert visited >= 1000, visited
 
 
 def test_canonicity_tested_only_on_prefixes_with_an_admissible_child(monkeypatch):
