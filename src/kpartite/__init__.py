@@ -77,12 +77,10 @@ from .harness import (
 from .instrument import OpCounter
 from .isomorphism import canonical_key, contains_induced, is_isomorphic
 from .realizations import (
-    SwitchStep,
     enumerate_realizations,
     four_copies,
     havel_hakimi_realize,
     random_switch_walk,
-    two_switch,
 )
 from .recognition import is_clique_union, is_complete_multipartite
 from .sequences import (

@@ -38,6 +38,7 @@ from .harness import (
     find_sharp_example,
     iter_profiles,
 )
+from .isomorphism import check_pattern_cap
 from .realizations import (
     enumerate_realizations,
     four_copies,
@@ -65,7 +66,8 @@ BOUNDS_MAX_VERTICES = 10_000
 
 def parse_named_graph(name: str) -> Graph:
     """Small named graphs: p<k> path, c<k> cycle, k<k> complete, e<k>
-    edgeless, and 'petersen'."""
+    edgeless, and 'petersen'.  A k above the pattern cap is refused before
+    the graph is built."""
     name = name.strip().lower()
     if name == "petersen":
         return petersen_graph()
@@ -73,6 +75,7 @@ def parse_named_graph(name: str) -> Graph:
     if not match:
         raise ValueError(f"unknown graph name {name!r}")
     kind, count = match.group(1), int(match.group(2))
+    check_pattern_cap(count)
     if kind == "p":
         return path_graph(count)
     if kind == "c":

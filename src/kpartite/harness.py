@@ -140,7 +140,7 @@ def find_sharp_example(
     contains every pattern as an induced subgraph.  The pattern cap is
     checked before the first realization is enumerated."""
     for pattern in patterns:
-        check_pattern_cap(pattern)
+        check_pattern_cap(pattern.n)
     target = profile.degree_sequence()
     k = profile.k
     for g in enumerate_realizations(target):

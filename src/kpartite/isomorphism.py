@@ -2,8 +2,8 @@
 
 The canonical key of a graph is the lexicographically smallest upper-triangle
 bit string of its adjacency matrix, read column by column, minimized over all
-vertex orderings that respect the degree partition (iteratively refined by
-neighbor-degree signatures).
+vertex orderings that respect the degree partition, refined until no class
+splits by its members' neighbour counts in each class.
 
 One search serves both uses: it reads the graph's own labeling off its
 rows and returns the first ordering with a smaller code, or None.  It walks
@@ -39,20 +39,17 @@ def _ranks_by_descending_value(values: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(index[v] for v in values)
 
 
-def _refine_ranks(
-    n: int, masks: tuple[int, ...], ranks: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Iterated neighbor-rank refinement; stable and isomorphism-invariant."""
+def _refine_ranks(masks: tuple[int, ...], ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """Colour refinement, stable and isomorphism-invariant: split each rank
+    class by its members' neighbour counts in every class, until a round
+    splits none.  A round can only split classes, so it counts them."""
     while True:
-        sigs = []
-        for v in range(n):
-            neigh = sorted(ranks[u] for u in iter_bits(masks[v]))
-            sigs.append((ranks[v], tuple(neigh)))
+        classes = dict.fromkeys(_rank_slots(ranks))
+        sigs = [(rank, *[(mv & c).bit_count() for c in classes]) for mv, rank in zip(masks, ranks)]
         order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = tuple(order[sig] for sig in sigs)
-        if new == ranks:
+        if len(order) == len(classes):
             return ranks
-        ranks = new
+        ranks = tuple(order[sig] for sig in sigs)
 
 
 def _twin_masks(masks: tuple[int, ...]) -> list[int]:
@@ -193,7 +190,7 @@ def canonical_key(g: Graph) -> tuple[int, int]:
         )
     n = g.n
     rows = g.adjacency_masks()
-    ranks = _refine_ranks(n, rows, _ranks_by_descending_value(g.degrees()))
+    ranks = _refine_ranks(rows, _ranks_by_descending_value(g.degrees()))
     # Every ordering found keeps the relabelled ranks sorted: one slot table.
     slots = _rank_slots(tuple(sorted(ranks)))
     order = sorted(range(n), key=ranks.__getitem__)
@@ -212,9 +209,9 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_key(g) == canonical_key(h)
 
 
-def check_pattern_cap(pattern: Graph) -> None:
-    """Raise GraphTooLargeError if ``pattern`` exceeds ``MAX_PATTERN_VERTICES``."""
-    if pattern.n > MAX_PATTERN_VERTICES:
+def check_pattern_cap(n: int) -> None:
+    """Raise GraphTooLargeError if ``n`` pattern vertices exceed ``MAX_PATTERN_VERTICES``."""
+    if n > MAX_PATTERN_VERTICES:
         raise GraphTooLargeError(
             f"pattern is limited to {MAX_PATTERN_VERTICES} vertices"
         )
@@ -228,7 +225,7 @@ def contains_induced(g: Graph, pattern: Graph) -> bool:
     neighbours and distinct from and non-adjacent to the other images.  At
     worst about ``n^p`` maps; ``pattern`` is capped at 6 vertices.
     """
-    check_pattern_cap(pattern)
+    check_pattern_cap(pattern.n)
     p = pattern.n
     rows = g.adjacency_masks()
     pattern_rows = pattern.adjacency_masks()

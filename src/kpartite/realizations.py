@@ -49,7 +49,6 @@ from __future__ import annotations
 import random
 from bisect import bisect
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import GraphTooLargeError, NonGraphicalError
@@ -270,43 +269,6 @@ def _children(
             for u in chosen:
                 child[u] |= 1 << r
             yield (*child, col)
-
-
-@dataclass(frozen=True)
-class SwitchStep:
-    """One degree-preserving edge swap: remove two disjoint edges, add one of
-    the two possible rewirings of their four endpoints."""
-
-    removed: tuple[tuple[int, int], tuple[int, int]]
-    added: tuple[tuple[int, int], tuple[int, int]]
-
-
-def two_switch(g: Graph, step: SwitchStep) -> Graph:
-    """Apply a validated 2-switch; raises ValueError on an invalid step."""
-    (a, b), (c, d) = step.removed
-    endpoints = {a, b, c, d}
-    if len(endpoints) != 4:
-        raise ValueError("2-switch needs four distinct vertices")
-    added_endpoints = {v for e in step.added for v in e}
-    if added_endpoints != endpoints:
-        raise ValueError("added edges must rewire the removed endpoints")
-    for u, v in step.removed:
-        if not g.has_edge(u, v):
-            raise ValueError(f"removed edge ({u}, {v}) not present")
-    for u, v in step.added:
-        if g.has_edge(u, v):
-            raise ValueError(f"added edge ({u}, {v}) already present")
-    # The checks above leave no loop and no removed edge among the added
-    # edges; int() keeps NumPy integers out of the rows.
-    rows = list(g.adjacency_masks())
-    for u, v in (*step.removed, *step.added):
-        rows[u] ^= 1 << int(v)
-        rows[v] ^= 1 << int(u)
-    return Graph._from_rows(tuple(rows))
-
-
-def inverse_step(step: SwitchStep) -> SwitchStep:
-    return SwitchStep(removed=step.added, added=step.removed)
 
 
 def random_switch_walk(g: Graph, steps: int, seed: int) -> Graph:

@@ -339,6 +339,20 @@ def test_find_sharp_checks_patterns_before_any_enumeration(capsys, monkeypatch):
     assert err == "error: pattern is limited to 6 vertices\n"
 
 
+def test_find_sharp_refuses_named_patterns_before_building_them(capsys, monkeypatch):
+    # p3000000 or e400000000 would exhaust memory before a cap on the built
+    # graph could refuse it, so the count is checked before the build.
+    def never(count):
+        raise AssertionError(f"built a {count}-vertex pattern above the cap")
+
+    monkeypatch.setattr(kpartite.cli, "path_graph", never)
+    monkeypatch.setattr(kpartite.cli, "empty_graph", never)
+    for name in ("p7", "e7"):
+        code, out, err = run(capsys, "find-sharp", "--profile", "2,2", "--patterns", name)
+        assert code == 2 and out == ""
+        assert err == "error: pattern is limited to 6 vertices\n"
+
+
 def test_empty_profiles_exit_2(capsys):
     code, out, err = run(capsys, "find-sharp", "--profile", "")
     assert code == 2 and out == ""

@@ -9,7 +9,6 @@ from kpartite import (
     DegreeSequence,
     Graph,
     PartitionProfile,
-    SwitchStep,
     clique_union,
     complement,
     complete_graph,
@@ -31,7 +30,6 @@ from kpartite import (
     petersen_graph,
     random_switch_walk,
     turan_graph,
-    two_switch,
 )
 from kpartite.formats import decode_dimacs, decode_edge_list, encode_dimacs
 from kpartite.graph import iter_bits
@@ -155,7 +153,8 @@ def test_degrees_are_row_bit_counts_after_every_constructor():
         decode_edge_list("n=9\na b\nb c\na b\nc a\n"),
         decode_dimacs(encode_dimacs(sparse)),
         havel_hakimi_realize(DegreeSequence([3, 3, 2, 2, 2, 1, 1])),
-        two_switch(c6, SwitchStep(removed=((0, 1), (3, 4)), added=((0, 4), (1, 3)))),
+        # C6 after the 2-switch (0, 1), (3, 4) -> (0, 4), (1, 3).
+        Graph(6, [(1, 2), (2, 3), (4, 5), (0, 5), (0, 4), (1, 3)]),
         random_switch_walk(sparse, 500, 3),
         # Over half of all pairs: walked on the complement.
         random_switch_walk(complement(sparse), 500, 3),

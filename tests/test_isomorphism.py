@@ -112,8 +112,28 @@ def test_canonical_keys_match_recorded_digest():
         n, code = canonical_key(g)
         digest.update(f"{n} {code}\n".encode())
     assert digest.hexdigest() == (
-        "3845ea4f351ddcfcaab55c7c84e1e3c275016989cf58f0a04343e4b04de7014d"
+        "33c8dec304bb9b021309f2abcb93531d880ad0f00394e31ca9ff147685d9967a"
     )
+
+
+def test_canonical_keys_of_the_digest_corpus_match_networkx():
+    # The recorded digest above pins the keys; this checks that they are
+    # right.  Graphs with one key must be isomorphic, and the class
+    # representatives must not be, where the degree sequences leave it open.
+    classes: dict[tuple[int, int], list[Graph]] = {}
+    for g in random_graph_corpus(3000, 12, seed=2026):
+        classes.setdefault(canonical_key(g), []).append(g)
+    by_degrees: dict[tuple[int, ...], list[nx.Graph]] = {}
+    for first, *rest in classes.values():
+        rep = _to_nx(first)
+        assert all(nx.is_isomorphic(rep, _to_nx(g)) for g in rest), first.edges()
+        by_degrees.setdefault(tuple(sorted(first.degrees())), []).append(rep)
+    pairs = 0
+    for reps in by_degrees.values():
+        for a, b in combinations(reps, 2):
+            assert not nx.is_isomorphic(a, b), (list(a.edges()), list(b.edges()))
+            pairs += 1
+    assert (len(classes), pairs) == (1440, 224)
 
 
 def _column(mv, placed):
@@ -199,7 +219,7 @@ def test_search_matches_candidate_list_dfs():
             g = random_graph(n, float(rng.uniform(0.05, 0.95)), rng)
         masks = g.adjacency_masks()
         targets = tuple(sorted(rng.integers(0, n, n).tolist(), reverse=True))
-        refined = _refine_ranks(n, masks, _ranks_by_descending_value(g.degrees()))
+        refined = _refine_ranks(masks, _ranks_by_descending_value(g.degrees()))
         for ranks in (_ranks_by_descending_value(targets), refined):
             orders = [list(range(n))]
             for _ in range(2):

@@ -10,7 +10,6 @@ from kpartite import (
     Graph,
     GraphTooLargeError,
     NonGraphicalError,
-    SwitchStep,
     is_graphical,
     clique_union,
     clique_union_profile_from_degrees,
@@ -30,7 +29,6 @@ from kpartite import (
     path_graph,
     petersen_graph,
     random_switch_walk,
-    two_switch,
 )
 import kpartite.realizations
 from kpartite.cli import main
@@ -39,7 +37,6 @@ from kpartite.isomorphism import (
     _ranks_by_descending_value,
     labeling_is_canonical,
 )
-from kpartite.realizations import inverse_step
 from kpartite.sequences import _erdos_gallai_sorted
 
 from .conftest import all_graphs_up_to_iso
@@ -570,48 +567,6 @@ def test_per_sequence_counts_match_graph_atlas():
                 continue
             ours = sum(1 for _ in enumerate_realizations(ds))
             assert ours == by_seq.get((n, tuple(seq)), 0), (n, seq)
-
-
-def test_two_switch_example():
-    c6 = cycle_graph(6)
-    step = SwitchStep(removed=((0, 1), (3, 4)), added=((0, 4), (1, 3)))
-    g = two_switch(c6, step)
-    assert is_isomorphic(g, clique_union([3, 3]))
-    assert degree_sequence(g) == degree_sequence(c6)
-    assert two_switch(g, inverse_step(step)) == c6
-
-
-def test_two_switch_validation():
-    c6 = cycle_graph(6)
-    with pytest.raises(ValueError):
-        two_switch(c6, SwitchStep(removed=((0, 1), (1, 2)), added=((0, 2), (1, 1))))
-    with pytest.raises(ValueError):
-        two_switch(c6, SwitchStep(removed=((0, 2), (3, 4)), added=((0, 4), (2, 3))))
-    with pytest.raises(ValueError):
-        two_switch(c6, SwitchStep(removed=((0, 1), (3, 4)), added=((0, 3), (1, 2))))
-
-
-def test_two_switch_matches_edited_edge_list():
-    # Seeded valid steps on sparse and dense family members: XOR-ing the four
-    # edges into the rows gives the graph rebuilt from the edited edge list.
-    rnd = random.Random(8)
-    applied = 0
-    for sizes in ([3, 3, 4], [2, 5, 5, 7], [1, 4, 6, 6, 9]):
-        member = random_switch_walk(clique_union(sizes), steps=20, seed=len(sizes))
-        for g in (member, complement(member)):
-            for _ in range(40):
-                (a, b), (c, d) = rnd.sample(g.edges(), 2)
-                added = ((a, c), (b, d)) if rnd.random() < 0.5 else ((a, d), (b, c))
-                if len({a, b, c, d}) != 4 or any(g.has_edge(*e) for e in added):
-                    continue
-                step = SwitchStep(removed=((a, b), (c, d)), added=added)
-                edges = [e for e in g.edges() if e not in step.removed]
-                switched = two_switch(g, step)
-                assert switched == Graph(g.n, edges + list(added))
-                assert degree_sequence(switched) == degree_sequence(g)
-                g = switched
-                applied += 1
-    assert applied >= 60
 
 
 def test_random_walk_is_seed_deterministic():

@@ -6,7 +6,6 @@ from kpartite import (
     Graph,
     OpCounter,
     PartitionProfile,
-    SwitchStep,
     clique_union,
     clique_union_profile_from_degrees,
     complement,
@@ -23,7 +22,6 @@ from kpartite import (
     path_graph,
     random_switch_walk,
     strip_clique_components,
-    two_switch,
 )
 from kpartite.recognition import clique_classes
 
@@ -140,13 +138,14 @@ def test_probe_counts_stay_linear():
 
 
 def test_is_clique_union_stops_at_the_first_outsider():
-    # One 2-switch joins the first two of 50 disjoint K4: old vertex 2 keeps
-    # the closed neighbourhood {0, 1, 2, 3}, while its neighbour 0 now has
+    # One 2-switch joins the first two of 50 disjoint K4: edges (0, 1) and
+    # (4, 5) become (0, 4) and (1, 5).  Old vertex 2 keeps the closed
+    # neighbourhood {0, 1, 2, 3}, while its neighbour 0 now has
     # {0, 2, 3, 4}.  Relabelled at random with old 0 and 2 moved to labels 0
     # and 1, the first vertex with a lower neighbour lies in no clique
     # component, and the scan stops there.
-    switch = SwitchStep(removed=((0, 1), (4, 5)), added=((0, 4), (1, 5)))
-    g = two_switch(clique_union([4] * 50), switch)
+    edges = set(clique_union([4] * 50).edges()) - {(0, 1), (4, 5)}
+    g = Graph(200, sorted(edges | {(0, 4), (1, 5)}))
     rest = [1, *range(3, 200)]
     random.Random(16).shuffle(rest)
     label = {old: new for new, old in enumerate([0, 2, *rest])}

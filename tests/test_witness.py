@@ -168,19 +168,44 @@ def test_witness_clique_duals():
         witness_clique(complete_multipartite([3, 3, 4]))
 
 
+def _min_degree_greedy(g: Graph) -> list[int]:
+    """Griggs's greedy: take a vertex of least degree among those left,
+    lowest index on ties, and delete its closed neighbourhood, until no
+    vertex is left.  The independent set it returns has at least the
+    Caro-Wei bound, sum 1/(d(v) + 1), many vertices."""
+    rows = g.adjacency_masks()
+    left = (1 << g.n) - 1
+    chosen = []
+    while left:
+        v = min(
+            (u for u in range(g.n) if left >> u & 1),
+            key=lambda u: (rows[u] & left).bit_count(),
+        )
+        chosen.append(v)
+        left &= ~(rows[v] | 1 << v)
+    return chosen
+
+
 def test_witness_sound_on_every_noncanonical_realization_up_to_10():
     # The paper's constructive direction, exhaustively: every non-canonical
     # realization of every clique-union profile up to total 10 gets a valid
-    # certificate with k + 1 <= size <= alpha.
+    # certificate with k + 1 <= size <= alpha.  A second oracle, independent
+    # of the witness and of the exact solver: Caro-Wei is exactly k on the
+    # class, and the min-degree greedy finds k vertices only on the clique
+    # union, so it finds at least k + 1 on every other member.
     noncanonical = 0
     for profile in iter_profiles(10):
         k = profile.k
         for g in enumerate_realizations(profile.degree_sequence()):
+            greedy = _min_degree_greedy(g)
+            assert not any(g.has_edge(u, v) for u in greedy for v in greedy)
             if is_clique_union(g) is not None:
+                assert len(greedy) == k
                 with pytest.raises(CanonicalGraphError):
                     witness_independent_set(g)
                 continue
             noncanonical += 1
+            assert len(greedy) >= k + 1
             cert = witness_independent_set(g)
             assert validate_certificate(g, cert)
             assert cert.size >= k + 1
