@@ -71,17 +71,6 @@ class Graph:
         self._degrees = tuple(r.bit_count() for r in rows)
         self._m = sum(self._degrees) // 2
 
-    @classmethod
-    def from_adjacency(cls, adjacency: Sequence[Iterable[int]]) -> "Graph":
-        n = len(adjacency)
-        edges = [(u, v) for u in range(n) for v in adjacency[u] if u < v]
-        g = cls(n, edges)
-        # Reject asymmetric input: every listed neighbor must appear both ways.
-        for u in range(n):
-            if set(adjacency[u]) != g.neighbors(u):
-                raise ValueError("adjacency lists are not symmetric or contain loops")
-        return g
-
     @property
     def m(self) -> int:
         """Edge count."""

@@ -29,11 +29,21 @@ class CampaignResult:
 
     profile: PartitionProfile
     realization_count: int
-    canonical_found: bool
     canonical_alpha: int | None
     min_alpha_noncanonical: int | None
-    theorem_holds: bool
     reports: tuple[BoundReport, ...]
+
+    @property
+    def canonical_found(self) -> bool:
+        return self.canonical_alpha is not None
+
+    @property
+    def theorem_holds(self) -> bool:
+        """Alpha is exactly k for the clique union, above k for the rest."""
+        k = self.profile.k
+        return self.canonical_alpha == k and (
+            self.min_alpha_noncanonical is None or self.min_alpha_noncanonical > k
+        )
 
     def summary_line(self) -> str:
         parts = ",".join(str(a) for a in self.profile.parts)
@@ -83,13 +93,10 @@ def check_profile(profile: PartitionProfile, with_reports: bool = True) -> Campa
     sequence and test the characterization on each.  With reports, alpha is
     read from each realization's exact bound report instead of solved again."""
     target = profile.degree_sequence()
-    k = profile.k
     count = 0
-    canonical_found = False
     canonical_alpha: int | None = None
     min_alpha: int | None = None
     reports: list[BoundReport] = []
-    holds = True
     for g in enumerate_realizations(target):
         count += 1
         if with_reports:
@@ -103,26 +110,16 @@ def check_profile(profile: PartitionProfile, with_reports: bool = True) -> Campa
                 raise AssertionError(
                     f"realization recognized with wrong profile {recognized.parts}"
                 )
-            if canonical_found:
+            if canonical_alpha is not None:
                 raise AssertionError("two canonical realizations in one class")
-            canonical_found = True
             canonical_alpha = alpha
-            if alpha != k:
-                holds = False
-        else:
-            if min_alpha is None or alpha < min_alpha:
-                min_alpha = alpha
-            if alpha < k + 1:
-                holds = False
-    if not canonical_found:
-        holds = False
+        elif min_alpha is None or alpha < min_alpha:
+            min_alpha = alpha
     return CampaignResult(
         profile=profile,
         realization_count=count,
-        canonical_found=canonical_found,
         canonical_alpha=canonical_alpha,
         min_alpha_noncanonical=min_alpha,
-        theorem_holds=holds,
         reports=tuple(reports),
     )
 

@@ -6,17 +6,18 @@ vertex orderings that respect the degree partition, refined until no class
 splits by its members' neighbour counts in each class.
 
 One search serves both uses: it reads the graph's own labeling off its
-rows and returns the first ordering with a smaller code, or None.  It walks
-only prefixes whose columns equal the own labeling's, holding the
+rows and returns the prefix of some ordering with a smaller code, or None.
+It walks only prefixes whose columns equal the own labeling's, holding the
 candidates of a position as a bitmask: one pass over the placed rows splits
 them into those whose column equals the own one and those already below
-it.  Any vertex below ends the search, which completes the ordering
-greedily; otherwise it recurses into the equal ones, placing only one
-vertex of each class of interchangeable (twin) vertices, which keeps highly
+it.  The first vertex below ends the search with the prefix through it;
+otherwise the search recurses into the equal ones, placing only one vertex
+of each class of interchangeable (twin) vertices, which keeps highly
 symmetric graphs cheap.  The orderly enumerator accepts a labeling when
-nothing beats it; ``canonical_key`` relabels the graph by the rank-sorted
-ordering, then by each smaller ordering found, until nothing is smaller,
-which reaches the unique minimum code.
+nothing beats it.  ``canonical_key`` relabels the graph by the rank-sorted
+ordering, then by each smaller prefix found, completed by the unused
+vertices in index order, until nothing is smaller; every step lowers the
+code, so it reaches the unique minimum.
 
 Intended for small graphs; hard cap of 12 vertices.
 """
@@ -70,17 +71,6 @@ def _twin_masks(masks: tuple[int, ...]) -> list[int]:
     return [opened[mv] | closed[mv | 1 << v] for v, mv in enumerate(masks)]
 
 
-def _least_vertex(cands: int, placed: list[int]) -> int:
-    """Bit of the member of mask ``cands`` with the least column against the
-    ``placed`` rows, lowest index on ties: position by position, keep the
-    members not adjacent there, if there are any."""
-    for row in placed:
-        apart = cands & ~row
-        if apart:
-            cands = apart
-    return cands & -cands
-
-
 def _rank_slots(ranks: tuple[int, ...]) -> list[int]:
     """Per position of a rank-respecting ordering, the mask of the vertices
     that may sit there: those of the position's rank.  With sorted ranks,
@@ -93,10 +83,11 @@ def _rank_slots(ranks: tuple[int, ...]) -> list[int]:
 
 
 def _search_smaller(masks: tuple[int, ...], slots: Sequence[int]) -> list[int] | None:
-    """The vertices, by position, of the first ordering that puts a vertex
-    of ``slots[i]`` at each position i, in search order, whose adjacency
-    code is smaller than that of the graph's own labeling; None when no
-    ordering beats it.
+    """The vertices, by position, of a prefix of an ordering that puts a
+    vertex of ``slots[i]`` at each position i and whose adjacency code is
+    smaller than that of the graph's own labeling: every position but the
+    last keeps the own column, the last is below it.  None when no ordering
+    beats the own labeling.
 
     The search walks only tight prefixes, whose columns equal the own
     labeling's: vertex ``depth``'s column has bit i of ``masks[depth]`` at
@@ -107,14 +98,11 @@ def _search_smaller(masks: tuple[int, ...], slots: Sequence[int]) -> list[int] |
     of ``eq`` not adjacent to that placed vertex move to ``lt``; where it
     is 0, the adjacent ones drop out.
 
-    A nonzero ``lt`` ends the search with the ordering that a search over
-    sorted ``(column, vertex)`` candidates reaches first: every completion
-    of a smaller prefix is smaller, so that search takes the least
-    candidate at each later position (:func:`_least_vertex`).  Otherwise
-    the search recurses into ``eq`` in ascending index, the sorted order
-    among equal columns, one vertex per twin class (:func:`_twin_masks`):
-    unused twins have equal columns, and an automorphism that fixes the
-    prefix swaps their subtrees.
+    A nonzero ``lt`` ends the search with the prefix through its lowest
+    vertex: every completion of that prefix is smaller.  Otherwise the
+    search recurses into ``eq`` in ascending index, one vertex per twin
+    class (:func:`_twin_masks`): unused twins have equal columns, and an
+    automorphism that fixes the prefix swaps their subtrees.
     """
     n = len(masks)
     twins = _twin_masks(masks)
@@ -136,19 +124,7 @@ def _search_smaller(masks: tuple[int, ...], slots: Sequence[int]) -> list[int] |
                 break
             own >>= 1
         if lt:
-            rest = []
-            cands = lt
-            while True:
-                bit = _least_vertex(cands, placed)
-                v = bit.bit_length() - 1
-                rest.append(v)
-                placed.append(masks[v])
-                unused ^= bit
-                depth += 1
-                if depth == n:
-                    rest.reverse()
-                    return rest
-                cands = unused & slots[depth]
+            return [(lt & -lt).bit_length() - 1]
         while eq:
             bit = eq & -eq
             v = bit.bit_length() - 1
@@ -161,7 +137,7 @@ def _search_smaller(masks: tuple[int, ...], slots: Sequence[int]) -> list[int] |
             placed.pop()
         return None
 
-    # dfs builds the ordering last position first.
+    # dfs builds the prefix last position first.
     found = dfs(0, (1 << n) - 1)
     return None if found is None else found[::-1]
 
@@ -191,12 +167,15 @@ def canonical_key(g: Graph) -> tuple[int, int]:
     n = g.n
     rows = g.adjacency_masks()
     ranks = _refine_ranks(rows, _ranks_by_descending_value(g.degrees()))
-    # Every ordering found keeps the relabelled ranks sorted: one slot table.
+    # The relabelled ranks stay sorted, so ascending index is rank order:
+    # a smaller prefix completed by the unused vertices in index order
+    # respects the one slot table, and its code is smaller.
     slots = _rank_slots(tuple(sorted(ranks)))
     order = sorted(range(n), key=ranks.__getitem__)
     while order is not None:
         rows = tuple(sum(1 << i for i, u in enumerate(order) if rows[v] >> u & 1) for v in order)
-        order = _search_smaller(rows, slots)
+        prefix = _search_smaller(rows, slots)
+        order = None if prefix is None else prefix + [v for v in range(n) if v not in prefix]
     return n, _code(rows)
 
 

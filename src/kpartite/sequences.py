@@ -44,11 +44,6 @@ class DegreeSequence:
         return len(self._sorted)
 
     @property
-    def total(self) -> int:
-        """Sum of all degrees (twice the edge count when graphical)."""
-        return sum(self._sorted)
-
-    @property
     def multiplicities(self) -> Mapping[int, int]:
         return dict(self._multiplicities)
 

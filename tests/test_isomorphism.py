@@ -1,6 +1,7 @@
 import hashlib
+import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import networkx as nx
 import numpy as np
@@ -26,13 +27,19 @@ from kpartite import (
     petersen_graph,
 )
 from kpartite.isomorphism import (
+    _code,
     _rank_slots,
     _ranks_by_descending_value,
     _refine_ranks,
     _search_smaller,
 )
 
-from .conftest import graphs_strategy, random_graph, random_graph_corpus
+from .conftest import (
+    all_graphs_up_to_iso,
+    graphs_strategy,
+    random_graph,
+    random_graph_corpus,
+)
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -208,7 +215,10 @@ def test_search_matches_candidate_list_dfs():
     # enumerator passes them (sorted target-degree ranks of another degree
     # vector) and as canonical_key does (refined, unsorted); the incumbent is
     # the own labeling of the graph relabelled by the identity or by a
-    # random rank-respecting ordering.
+    # random rank-respecting ordering.  The search returns only the prefix
+    # through its first position d below the incumbent: the oracle's
+    # ordering shares the tight positions before d, and at d it takes the
+    # least column, which the search's vertex cannot undercut.
     rng = np.random.Generator(np.random.PCG64(1998))
     outcomes = Counter()
     for trial in range(8000):
@@ -230,13 +240,46 @@ def test_search_matches_candidate_list_dfs():
                 own_ranks = tuple(ranks[v] for v in order)
                 incumbent = [_column(rows[v], range(v)) for v in range(n)]
                 expected = _candidate_list_search(rows, own_ranks, incumbent)
-                assert _search_smaller(rows, _rank_slots(own_ranks)) == expected, (
-                    g.edges(),
-                    ranks,
-                    order,
-                )
+                slots = _rank_slots(own_ranks)
+                found = _search_smaller(rows, slots)
+                context = (g.edges(), ranks, order, found, expected)
+                assert (found is None) == (expected is None), context
+                if found is not None:
+                    d = len(found) - 1
+                    v = found[d]
+                    column = _column(rows[v], found[:d])
+                    assert found[:d] == expected[:d], context
+                    assert slots[d] >> v & 1 and v not in found[:d], context
+                    assert column < incumbent[d], context
+                    assert _column(rows[expected[d]], expected[:d]) <= column, context
                 outcomes[expected is None] += 1
     assert outcomes[True] >= 10000 and outcomes[False] >= 10000, outcomes
+
+
+def test_canonical_key_is_the_minimum_code():
+    # Brute force over every ordering that respects the refined classes:
+    # the classes in rank order, each one in all its internal orders.  The
+    # enumerated graphs come nearly canonical, so each is shuffled first:
+    # otherwise one search would settle most keys.
+    rng = random.Random(11)
+    trees = []
+    for _ in range(40):
+        n = rng.randint(7, 10)
+        trees.append(Graph(n, [(v, rng.randrange(v)) for v in range(1, n)]))
+    graphs = [g for n in range(8) for g in all_graphs_up_to_iso(n)] + trees
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = relabel(g, perm)
+        masks = g.adjacency_masks()
+        ranks = _refine_ranks(masks, _ranks_by_descending_value(g.degrees()))
+        classes = [[v for v in range(g.n) if ranks[v] == r] for r in sorted(set(ranks))]
+        least = min(
+            _code(_relabel_rows(masks, [v for part in parts for v in part]))
+            for parts in product(*map(permutations, classes))
+        )
+        assert canonical_key(g) == (g.n, least), g.edges()
+    assert len(graphs) == 1293
 
 
 def test_size_cap():

