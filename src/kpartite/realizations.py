@@ -29,14 +29,15 @@ A leaf is tested when it is reached.  This is exact: a prefix with no
 admissible child has no leaf below it, canonical or not, so skipping its
 test drops no graph, and the children keep their order, so the emitted
 graphs and their order are those of testing every child before entering it.
-The prefix one vertex short of a leaf is not tested at all: the last
-vertex must join every vertex with residual degree left, so that prefix has
-at most one child, a leaf; a leaf whose prefix is not minimal is not
-minimal, so the leaf's own test rejects it, and no subtree is walked in
-vain.
-Deferring the test further, to the first leaf below a prefix, makes fewer
-tests but walks the dead subtrees under non-canonical prefixes, and a
-campaign over totals <= 10 ran about 1.5 times slower.
+The last two prefixes are not tested at all.  The last vertex must join
+every vertex with residual degree left, so the prefix one short of a leaf
+has at most one child, built directly with only the column-order filter,
+and below the prefix two short lies one forced column.  A leaf whose
+prefix is not minimal is not minimal, so the leaves' own tests decide, and
+no deeper subtree is walked in vain.  Deferring the test one level further
+ran a campaign over totals <= 10 slower than this rule, and deferring it
+to the first leaf below a prefix, which walks the dead subtrees under
+non-canonical prefixes, about 1.5 times slower.
 
 The 2-switch sampler draws from the standard library's ``random.Random``
 seeded with the walk seed.  Only its ``random()`` floats are used, the one
@@ -179,25 +180,26 @@ def _enumerate_graphs(degrees: DegreeSequence) -> Iterator[Graph]:
     emitted: set[tuple[int, ...]] = set()
 
     def extend(rows: tuple[int, ...]):
-        # ``rows`` holds the placed vertices; one vertex is canonical.
+        # ``rows`` holds the placed vertices; one vertex is canonical.  No
+        # graphical sequence has one positive target, so the root is no leaf.
         r = len(rows)
-        if r == n:
-            # No residual test: the last child's tests leave all residuals 0.
-            if r > 1 and not labeling_is_canonical(rows, slots):
+        if r == n - 1:
+            leaf = _last_child(rows, targets)
+            if leaf is None or not labeling_is_canonical(leaf, slots):
                 return
-            if rows in emitted:
+            if leaf in emitted:
                 raise AssertionError("enumeration emitted two isomorphic graphs")
-            emitted.add(rows)
-            yield Graph._from_rows(rows + isolated)
+            emitted.add(leaf)
+            yield Graph._from_rows(leaf + isolated)
             return
         # The canonicity test waits for the first admissible child: a prefix
-        # with none yields nothing, canonical or not.  The (n-1)-prefix is
-        # not tested: its one child is a leaf, which is tested.
+        # with none yields nothing, canonical or not.  The (n-2)-prefix is
+        # not tested: below it are only forced leaves, which are tested.
         below = _children(rows, targets, supply)
         first = next(below, None)
         if first is None:
             return
-        if 1 < r < n - 1 and not labeling_is_canonical(rows, slots):
+        if 1 < r < n - 2 and not labeling_is_canonical(rows, slots):
             return
         yield from extend(first)
         for child in below:
@@ -205,6 +207,27 @@ def _enumerate_graphs(degrees: DegreeSequence) -> Iterator[Graph]:
 
     # is_graphical() is the feasibility test of the one-vertex prefix.
     yield from extend((0,))
+
+
+def _last_child(
+    rows: tuple[int, ...], targets: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """The leaf's rows that ``rows`` forces, or None if the last column fails
+    the column-order filter of ``_children``.  The child test that made
+    ``rows`` (is_graphical() for a one-vertex root) held every residual to at
+    most 1 and their sum to at most the last target, and Erdos-Gallai held
+    the sum to at least it, so the vertices with one left are the column."""
+    r = len(rows)
+    col = 0
+    for u, (target, row) in enumerate(zip(targets, rows)):
+        if row.bit_count() < target:
+            col |= 1 << u
+    prev = rows[r - 1] if targets[r] == targets[r - 1] else 0
+    differ = (col & ((1 << (r - 1)) - 1)) ^ prev
+    if prev & differ & -differ:
+        return None
+    bit = 1 << r
+    return (*(row | bit if col >> u & 1 else row for u, row in enumerate(rows)), col)
 
 
 def _children(

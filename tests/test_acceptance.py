@@ -16,6 +16,7 @@ import pytest
 from kpartite import (
     CanonicalGraphError,
     DegreeSequence,
+    Graph,
     OpCounter,
     PartitionProfile,
     brute_force_alpha,
@@ -134,23 +135,29 @@ def test_criterion_3_classical_bounds_not_sharp_on_example():
 
 def test_criterion_4_recognition_against_brute_force_and_complexity():
     """All four recognition predicates agree with definitional checks on every
-    graph with n <= 7, and instrumented probe counts scale within
-    O(m + n log n) on a size ladder of family members."""
+    graph with n <= 7, in the enumerator's canonical labeling and in a seeded
+    relabelling, and instrumented probe counts scale within O(m + n log n) on
+    a size ladder of family members."""
     from .test_recognition import (
         brute_force_is_clique_union,
         brute_force_is_multipartite,
     )
 
+    rng = np.random.Generator(np.random.PCG64(7))
     checked = 0
     sequences_with_clique_union: set[DegreeSequence] = set()
     sequences_with_multipartite: set[DegreeSequence] = set()
     all_sequences: set[DegreeSequence] = set()
     for n in range(0, 8):
         for g in all_graphs_up_to_iso(n):
+            perm = rng.permutation(n).tolist()
+            relabelled = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
             mp = is_complete_multipartite(g)
             assert (mp.parts if mp else None) == brute_force_is_multipartite(g)
+            assert is_complete_multipartite(relabelled) == mp, g.edges()
             cu = is_clique_union(g)
             assert (cu.parts if cu else None) == brute_force_is_clique_union(g)
+            assert is_clique_union(relabelled) == cu, g.edges()
             ds = degree_sequence(g)
             all_sequences.add(ds)
             if cu is not None:

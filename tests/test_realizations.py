@@ -462,33 +462,39 @@ def test_per_node_tests_admit_exactly_the_feasible_children(monkeypatch):
 
 
 def test_last_prefix_needs_no_canonicity_test(monkeypatch):
-    # The (n-1)-prefix is not tested because its only possible child is a
-    # leaf: every (n-1)-prefix has at most one admissible child, and the
-    # (n-1)-prefix of every emitted leaf passes the test (a prefix of a
-    # minimal labeling is minimal), so the leaf test alone decides.
-    inner = kpartite.realizations._children
+    # The (n-1)-prefix's one possible child is built directly, and neither it
+    # nor the (n-2)-prefix is tested: each (n-1)-prefix reached gets from the
+    # forced completion exactly the single child, or none, that _children
+    # would give, and the (n-1)- and (n-2)-prefix of every emitted leaf pass
+    # the test (a prefix of a minimal labeling is minimal), so the leaf test
+    # alone decides.  n = 2 is included: there the root is the (n-1)-prefix.
+    inner = kpartite.realizations._last_child
+    children = kpartite.realizations._children
     last_prefixes = 0
+    lengths = set()
 
-    def checked(rows, targets, supply):
+    def checked(rows, targets):
         nonlocal last_prefixes
-        ours = list(inner(rows, targets, supply))
-        if len(rows) == len(targets) - 1:
-            last_prefixes += 1
-            assert len(ours) <= 1, (targets, rows)
-        return iter(ours)
+        ours = inner(rows, targets)
+        supply = [sum(min(t, p) for t in targets[p:]) for p in range(len(targets) + 1)]
+        expected = list(children(rows, targets, supply))
+        assert ([ours] if ours else []) == expected, (targets, rows)
+        last_prefixes += 1
+        lengths.add(len(targets))
+        return ours
 
-    monkeypatch.setattr(kpartite.realizations, "_children", checked)
+    monkeypatch.setattr(kpartite.realizations, "_last_child", checked)
     leaves = 0
     for ds in _graphical_sequences_up_to_seven():
         targets = tuple(t for t in ds.sorted(descending=True) if t)
         n = len(targets)
-        slots = _rank_slots(_ranks_by_descending_value(targets)[: n - 1])
+        ranks = _ranks_by_descending_value(targets)
         for g in enumerate_realizations(ds):
-            if n < 3:
-                continue
-            prefix = tuple(row & ~(1 << (n - 1)) for row in g.adjacency_masks()[: n - 1])
-            assert labeling_is_canonical(prefix, slots), (ds, g.edges())
+            for r in range(max(n - 2, 2), n):
+                prefix = tuple(row & ((1 << r) - 1) for row in g.adjacency_masks()[:r])
+                assert labeling_is_canonical(prefix, _rank_slots(ranks[:r])), (ds, g.edges())
             leaves += 1
+    assert 2 in lengths and 7 in lengths, lengths
     assert last_prefixes >= leaves >= 1000, (last_prefixes, leaves)
 
 
@@ -522,9 +528,10 @@ def test_one_slot_table_serves_every_prefix(monkeypatch):
 
 def test_canonicity_tested_only_on_prefixes_with_an_admissible_child(monkeypatch):
     # A prefix whose every child fails the column-order filter or the
-    # feasibility tests is never tested, nor is the (n-1)-prefix, whose one
-    # child is a tested leaf; the search that tested each child made 9913
-    # calls here, and testing the (n-1)-prefixes too made 5909.
+    # feasibility tests is never tested, nor are the (n-1)- and (n-2)-prefix,
+    # below which are only forced, tested leaves; the search that tested each
+    # child made 9913 calls here, testing the (n-1)-prefixes too made 5909,
+    # and testing the (n-2)-prefixes made 4903.
     calls = 0
     test = kpartite.realizations.labeling_is_canonical
 
@@ -536,7 +543,7 @@ def test_canonicity_tested_only_on_prefixes_with_an_admissible_child(monkeypatch
     monkeypatch.setattr(kpartite.realizations, "labeling_is_canonical", counted)
     graphs = list(enumerate_realizations(DegreeSequence([3] * 4 + [5] * 6)))
     assert len(graphs) == 928
-    assert calls == 4903
+    assert calls == 2731
 
 
 def test_graph_counts_by_vertex_count():
