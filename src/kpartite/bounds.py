@@ -21,6 +21,7 @@ from .graph import Graph, complete_multipartite, degree_sequence
 from .recognition import is_clique_union, is_complete_multipartite
 from .sequences import (
     DegreeSequence,
+    PartitionProfile,
     clique_union_profile_from_degrees,
     multipartite_profile_from_degrees,
 )
@@ -92,30 +93,34 @@ def turan_edge_count(n: int, k: int) -> int:
     return (n * n - sum(a * a for a in sizes)) // 2
 
 
+def _sharpened(profile: PartitionProfile | None, recognize, g: Graph) -> int | None:
+    """The rule behind both sharpened bounds: k when ``recognize`` finds that
+    g is its family's own graph, else k + 1; None outside the degree class."""
+    return None if profile is None else profile.k + (recognize(g) is None)
+
+
 def sharpened_alpha_bound(g: Graph) -> int:
     """For g degree-equivalent to a union of k cliques: k if g is that clique
     union itself (where the independence number is exactly k), else k + 1."""
     profile = clique_union_profile_from_degrees(degree_sequence(g))
-    if profile is None:
+    bound = _sharpened(profile, is_clique_union, g)
+    if bound is None:
         raise OutsideFamilyError(
             "degree sequence does not match any disjoint clique union"
         )
-    if is_clique_union(g) is not None:
-        return profile.k
-    return profile.k + 1
+    return bound
 
 
 def sharpened_omega_bound(g: Graph) -> int:
     """For g degree-equivalent to a complete k-partite graph: k if g is that
     graph itself (clique number exactly k), else k + 1."""
     profile = multipartite_profile_from_degrees(degree_sequence(g))
-    if profile is None:
+    bound = _sharpened(profile, is_complete_multipartite, g)
+    if bound is None:
         raise OutsideFamilyError(
             "degree sequence does not match any complete multipartite graph"
         )
-    if is_complete_multipartite(g) is not None:
-        return profile.k
-    return profile.k + 1
+    return bound
 
 
 @dataclass(frozen=True)
@@ -168,14 +173,10 @@ def compare_bounds(g: Graph, with_exact: bool = False) -> BoundReport:
     family, exact values are None unless requested."""
     degrees = degree_sequence(g)
     n, m = g.n, g.m
-    try:
-        sharp_alpha: int | None = sharpened_alpha_bound(g)
-    except OutsideFamilyError:
-        sharp_alpha = None
-    try:
-        sharp_omega: int | None = sharpened_omega_bound(g)
-    except OutsideFamilyError:
-        sharp_omega = None
+    sharp_alpha = _sharpened(clique_union_profile_from_degrees(degrees), is_clique_union, g)
+    sharp_omega = _sharpened(
+        multipartite_profile_from_degrees(degrees), is_complete_multipartite, g
+    )
     exact_alpha = exact_omega = None
     if with_exact:
         exact_alpha = max_independent_set(g).size

@@ -32,12 +32,7 @@ from .formats import (
     write_text,
 )
 from .graph import Graph, complete_graph, cycle_graph, empty_graph, path_graph, petersen_graph
-from .harness import (
-    bounds_report_csv,
-    check_profile,
-    find_sharp_example,
-    iter_profiles,
-)
+from .harness import bounds_report_csv, find_sharp_example, verify_theorem
 from .isomorphism import check_pattern_cap
 from .realizations import (
     enumerate_realizations,
@@ -97,9 +92,17 @@ def _profile_json(profile: PartitionProfile | None):
 
 
 def _read_degree_argument(args) -> DegreeSequence:
-    if getattr(args, "degrees_file", None):
+    if args.degrees_file:
         return parse_degree_list(read_text(args.degrees_file))
     return parse_degree_list(args.degrees)
+
+
+def _write_json(payload: dict, out: str) -> None:
+    write_text(json.dumps(payload, indent=2) + "\n", out)
+
+
+def _certificate_json(cert) -> dict:
+    return {"kind": cert.kind, "size": cert.size, "vertices": list(cert.sorted_vertices())}
 
 
 def _cmd_recognize(args) -> int:
@@ -121,19 +124,14 @@ def _cmd_recognize(args) -> int:
     result["clique_union_profile_from_degrees"] = _profile_json(
         clique_union_profile_from_degrees(degrees)
     )
-    write_text(json.dumps(result, indent=2) + "\n", args.out)
+    _write_json(result, args.out)
     return 0
 
 
 def _cmd_exact(args) -> int:
     g = load_graph(args.input, args.format)
     cert = max_clique(g, cap=args.cap) if args.omega else max_independent_set(g, cap=args.cap)
-    payload = {
-        "kind": cert.kind,
-        "size": cert.size,
-        "vertices": list(cert.sorted_vertices()),
-    }
-    write_text(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_json(_certificate_json(cert), args.out)
     return 0
 
 
@@ -161,7 +159,7 @@ def _cmd_bounds(args) -> int:
             )
     if len(graphs) == 1:
         report = compare_bounds(graphs[0], with_exact=args.exact)
-        write_text(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+        _write_json(report.to_json_dict(), args.out)
         return 0
     rows = (compare_bounds(g, with_exact=args.exact).to_csv_row() for g in graphs)
     write_text(encode_csv(BoundReport.CSV_COLUMNS, rows), args.out)
@@ -178,14 +176,8 @@ def _cmd_witness(args) -> int:
         cert = witness_independent_set(g)
         profile = clique_union_profile_from_degrees(degrees)
     assert profile is not None  # witness would have raised otherwise
-    payload = {
-        "kind": cert.kind,
-        "size": cert.size,
-        "vertices": list(cert.sorted_vertices()),
-        "k": profile.k,
-        "parts": list(profile.parts),
-    }
-    write_text(json.dumps(payload, indent=2) + "\n", args.out)
+    payload = {**_certificate_json(cert), "k": profile.k, "parts": list(profile.parts)}
+    _write_json(payload, args.out)
     return 0
 
 
@@ -218,22 +210,14 @@ def _cmd_reduce4(args) -> int:
 
 def _cmd_verify_theorem(args) -> int:
     start = time.perf_counter()
-    violations = 0
-    lines = []
-    for profile in iter_profiles(args.max_n):
-        result = check_profile(profile, with_reports=False)
-        lines.append(result.summary_line())
-        print(result.summary_line())
-        if not result.theorem_holds:
-            violations += 1
-    elapsed = time.perf_counter() - start
-    print(
-        f"checked {len(lines)} profiles up to total {args.max_n}: "
-        f"{violations} violations",
+    results = verify_theorem(args.max_n)
+    violations = sum(not result.theorem_holds for result in results)
+    lines = [result.summary_line() for result in results]
+    lines.append(
+        f"checked {len(results)} profiles up to total {args.max_n}: {violations} violations"
     )
-    print(f"elapsed: {elapsed:.1f}s", file=sys.stderr)
-    if args.out != "-":
-        write_text("\n".join(lines) + "\n", args.out)
+    write_text("\n".join(lines) + "\n", args.out)
+    print(f"elapsed: {time.perf_counter() - start:.1f}s", file=sys.stderr)
     return 1 if violations else 0
 
 
@@ -255,20 +239,31 @@ def _cmd_find_sharp(args) -> int:
         # find_sharp_example returns only realizations with alpha = k + 1.
         "alpha": profile.k + 1,
     }
-    write_text(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_json(payload, args.out)
     return 0
 
 
+def _add_degree_options(group) -> None:
+    group.add_argument("--degrees", help="comma-separated degree sequence")
+    group.add_argument(
+        "--degrees-file", help="file holding one line of whitespace-separated degrees"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # --out everywhere, --format where a graph file is read or written, and a
+    # required --input where exactly one graph is read.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    common.add_argument("--out", default="-", help="output path (default: stdout)")
+    graph_io = argparse.ArgumentParser(add_help=False, parents=[common])
+    graph_io.add_argument(
         "--format",
         choices=[GRAPH6, EDGES, DIMACS],
         default=None,
         help="graph file format, input and output (default: from the suffix; graph6 on stdout)",
     )
-    common.add_argument("--out", default="-", help="output path (default: stdout)")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
+    graph_in = argparse.ArgumentParser(add_help=False, parents=[graph_io])
+    graph_in.add_argument("--input", required=True)
 
     parser = argparse.ArgumentParser(
         prog="kpartite",
@@ -280,24 +275,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("recognize", parents=[common], help="family membership tests")
+    p = sub.add_parser("recognize", parents=[graph_io], help="family membership tests")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", help="graph file")
-    group.add_argument("--degrees", help="comma-separated degree sequence")
-    group.add_argument(
-        "--degrees-file", help="file holding one line of whitespace-separated degrees"
-    )
+    _add_degree_options(group)
     p.set_defaults(func=_cmd_recognize)
 
-    p = sub.add_parser("exact", parents=[common], help="exact alpha or omega with witness")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("exact", parents=[graph_in], help="exact alpha or omega with witness")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--alpha", action="store_true", help="maximum independent set")
     mode.add_argument("--omega", action="store_true", help="maximum clique")
     p.add_argument("--cap", type=int, default=64, help="vertex cap for the solver")
     p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("bounds", parents=[common], help="bound report (JSON or CSV batch)")
+    p = sub.add_parser("bounds", parents=[graph_io], help="bound report (JSON or CSV batch)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", help="graph file or directory")
     group.add_argument(
@@ -308,34 +299,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="also solve exactly")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("witness", parents=[common], help="size k+1 witness for family members")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("witness", parents=[graph_in], help="size k+1 witness for family members")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--independent", action="store_true", help="independent set (default)")
     mode.add_argument("--clique", action="store_true", help="clique in the complement family")
     p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("realize", parents=[common], help="one realization of a degree sequence")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--degrees")
-    group.add_argument("--degrees-file")
+    p = sub.add_parser("realize", parents=[graph_io], help="one realization of a degree sequence")
+    _add_degree_options(p.add_mutually_exclusive_group(required=True))
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser(
-        "enumerate", parents=[common], help="all realizations up to isomorphism (graph6)"
+        "enumerate", parents=[graph_io], help="all realizations up to isomorphism (graph6)"
     )
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--degrees")
-    group.add_argument("--degrees-file")
+    _add_degree_options(p.add_mutually_exclusive_group(required=True))
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("sample", parents=[common], help="seeded 2-switch walk")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("sample", parents=[graph_in], help="seeded 2-switch walk")
     p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("reduce4", parents=[common], help="four disjoint copies of a cubic graph")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("reduce4", parents=[graph_in], help="four disjoint copies of a cubic graph")
     p.set_defaults(func=_cmd_reduce4)
 
     p = sub.add_parser(

@@ -2,13 +2,13 @@
 
 A graph is stored as one integer bitmask row per vertex: bit v of row u is
 set exactly when uv is an edge.  The degrees are counted once, when the rows
-are stored, and every reader shares that tuple; neighbor sets and edge lists
-are read off the rows.  The constructors here (complement, induced subgraphs,
-disjoint unions, the named families) build rows directly.  Public functions
-take and return vertex sets as plain ``frozenset[int]``; inside the package a
-vertex subset is a mask over the host's own rows, never a relabelled copy of
-the graph.  All operations are pure functions of immutable values, so graphs
-can be shared freely across threads or processes.
+are stored, and every reader shares that tuple; edge lists are read off the
+rows.  The constructors here (complement, induced subgraphs, disjoint unions,
+the named families) build rows directly.  Public functions take and return
+vertex sets as plain ``frozenset[int]``; inside the package a vertex subset
+is a mask over the host's own rows, never a relabelled copy of the graph.
+All operations are pure functions of immutable values, so graphs can be
+shared freely across threads or processes.
 """
 
 from __future__ import annotations
@@ -76,16 +76,10 @@ class Graph:
         """Edge count."""
         return self._m
 
-    def _vertex(self, v: int) -> int:
+    def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
-        return v
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(iter_bits(self._rows[self._vertex(v)]))
-
-    def degree(self, v: int) -> int:
-        return self._degrees[self._vertex(v)]
+        return self._degrees[v]
 
     def degrees(self) -> tuple[int, ...]:
         """Every vertex's degree, counted once when the graph was built."""

@@ -305,6 +305,32 @@ def test_verify_theorem_cli(capsys):
     assert code == 2 and out == "" and "capped at total 10" in err
 
 
+def test_verify_theorem_out_file_holds_the_whole_report(tmp_path, capsys):
+    code, printed, _ = run(capsys, "verify-theorem", "--max-n", "6")
+    assert code == 0
+    path = tmp_path / "verify6.txt"
+    code, out, _ = run(capsys, "verify-theorem", "--max-n", "6", "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_bytes() == printed.encode()
+    assert printed.endswith("\nchecked 29 profiles up to total 6: 0 violations\n")
+
+
+def test_seed_and_format_only_where_they_are_read(tmp_path, capsys):
+    path = tmp_path / "c6.g6"
+    save_graph(cycle_graph(6), str(path))
+    refused = [
+        ("verify-theorem", "--max-n", "3", "--seed", "1"),
+        ("exact", "--alpha", "--input", str(path), "--seed", "1"),
+        ("witness", "--input", str(path), "--seed", "1"),
+        ("verify-theorem", "--max-n", "3", "--format", "graph6"),
+        ("find-sharp", "--profile", "3,3", "--format", "edges"),
+    ]
+    for argv in refused:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 def test_verify_theorem_rejects_negative_totals(capsys):
     code, out, err = run(capsys, "verify-theorem", "--max-n", "-3")
     assert code == 2 and out == ""
