@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bounds import BoundReport, compare_bounds
 from .errors import FormatError, GraphTooLargeError, KPartiteError
-from .exact import max_clique, max_independent_set
+from .exact import DEFAULT_SOLVER_CAP, max_clique, max_independent_set
 from .formats import (
     DIMACS,
     EDGES,
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--alpha", action="store_true", help="maximum independent set")
     mode.add_argument("--omega", action="store_true", help="maximum clique")
-    p.add_argument("--cap", type=int, default=64, help="vertex cap for the solver")
+    p.add_argument("--cap", type=int, default=DEFAULT_SOLVER_CAP, help="vertex cap for the solver")
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("bounds", parents=[graph_io], help="bound report (JSON or CSV batch)")

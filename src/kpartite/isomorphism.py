@@ -11,13 +11,14 @@ It walks only prefixes whose columns equal the own labeling's, holding the
 candidates of a position as a bitmask: one pass over the placed rows splits
 them into those whose column equals the own one and those already below
 it.  The first vertex below ends the search with the prefix through it;
-otherwise the search recurses into the equal ones, placing only one vertex
-of each class of interchangeable (twin) vertices, which keeps highly
-symmetric graphs cheap.  The orderly enumerator accepts a labeling when
-nothing beats it.  ``canonical_key`` relabels the graph by the rank-sorted
-ordering, then by each smaller prefix found, completed by the unused
-vertices in index order, until nothing is smaller; every step lowers the
-code, so it reaches the unique minimum.
+otherwise the search recurses into the equal ones, skipping each one with
+the open or closed neighbourhood of one already tried there (a twin):
+swapping two unused twins is an automorphism that fixes the prefix.  This
+keeps highly symmetric graphs cheap.  The orderly enumerator accepts a
+labeling when nothing beats it.  ``canonical_key`` relabels the graph by
+the rank-sorted ordering, then by each smaller prefix found, completed by
+the unused vertices in index order, until nothing is smaller; every step
+lowers the code, so it reaches the unique minimum.
 
 Intended for small graphs; hard cap of 12 vertices.
 """
@@ -53,24 +54,6 @@ def _refine_ranks(masks: tuple[int, ...], ranks: tuple[int, ...]) -> tuple[int, 
         ranks = tuple(order[sig] for sig in sigs)
 
 
-def _twin_masks(masks: tuple[int, ...]) -> list[int]:
-    """Per vertex, the mask of its twins: the vertices with an equal open or
-    an equal closed neighborhood, so that swapping the two is a graph
-    automorphism.  The vertex itself is included.
-
-    No vertex has both kinds of twin: if u and v share a row and w is an
-    adjacent twin of v, then w lies in N(v) = N(u), so u lies in N[w] = N[v],
-    which puts u in its own row.  So being twins is an equivalence relation,
-    and each mask is the vertex's class.
-    """
-    opened: dict[int, int] = {}
-    closed: dict[int, int] = {}
-    for v, mv in enumerate(masks):
-        opened[mv] = opened.get(mv, 0) | 1 << v
-        closed[mv | 1 << v] = closed.get(mv | 1 << v, 0) | 1 << v
-    return [opened[mv] | closed[mv | 1 << v] for v, mv in enumerate(masks)]
-
-
 def _rank_slots(ranks: tuple[int, ...]) -> list[int]:
     """Per position of a rank-respecting ordering, the mask of the vertices
     that may sit there: those of the position's rank.  With sorted ranks,
@@ -100,12 +83,13 @@ def _search_smaller(masks: tuple[int, ...], slots: Sequence[int]) -> list[int] |
 
     A nonzero ``lt`` ends the search with the prefix through its lowest
     vertex: every completion of that prefix is smaller.  Otherwise the
-    search recurses into ``eq`` in ascending index, one vertex per twin
-    class (:func:`_twin_masks`): unused twins have equal columns, and an
-    automorphism that fixes the prefix swaps their subtrees.
+    search recurses into ``eq`` in ascending index, and on taking a vertex
+    v drops from ``eq`` every w with ``masks[w] == masks[v]`` or
+    ``masks[w] | 1 << w == masks[v] | 1 << v``: swapping two unused twins
+    is an automorphism that fixes the placed prefix and the slots, so w's
+    subtree mirrors v's.
     """
     n = len(masks)
-    twins = _twin_masks(masks)
     placed: list[int] = []
 
     def dfs(depth: int, unused: int) -> list[int] | None:
@@ -128,8 +112,15 @@ def _search_smaller(masks: tuple[int, ...], slots: Sequence[int]) -> list[int] |
         while eq:
             bit = eq & -eq
             v = bit.bit_length() - 1
-            eq &= ~twins[v]
-            placed.append(masks[v])
+            mv = masks[v]
+            rest = eq = eq ^ bit
+            while rest:  # drop v's twins: equal open or closed neighbourhoods
+                low = rest & -rest
+                mw = masks[low.bit_length() - 1]
+                if mw == mv or mw | low == mv | bit:
+                    eq ^= low
+                rest ^= low
+            placed.append(mv)
             found = dfs(depth + 1, unused ^ bit)
             if found is not None:
                 found.append(v)

@@ -108,9 +108,7 @@ class PartitionProfile:
         return f"PartitionProfile({list(self.parts)}, {self.flavor!r})"
 
 
-def multipartite_profile_from_degrees(
-    degrees: DegreeSequence, counter: OpCounter | None = None
-) -> PartitionProfile | None:
+def multipartite_profile_from_degrees(degrees: DegreeSequence) -> PartitionProfile | None:
     """Part sizes of a complete multipartite graph with this degree multiset,
     or None if no such graph exists.
 
@@ -125,7 +123,7 @@ def multipartite_profile_from_degrees(
         raise ValueError(
             f"degree {min(too_large)} impossible in a simple graph on {n} vertices"
         )
-    profile = clique_union_profile_from_degrees(degrees.complement(), counter)
+    profile = clique_union_profile_from_degrees(degrees.complement())
     if profile is None:
         return None
     return PartitionProfile(profile.parts, MULTIPARTITE_PARTS)

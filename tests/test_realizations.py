@@ -529,21 +529,28 @@ def test_one_slot_table_serves_every_prefix(monkeypatch):
 def test_canonicity_tested_only_on_prefixes_with_an_admissible_child(monkeypatch):
     # A prefix whose every child fails the column-order filter or the
     # feasibility tests is never tested, nor are the (n-1)- and (n-2)-prefix,
-    # below which are only forced, tested leaves; the search that tested each
-    # child made 9913 calls here, testing the (n-1)-prefixes too made 5909,
-    # and testing the (n-2)-prefixes made 4903.
-    calls = 0
+    # below which are only forced, tested leaves; at (4,6) the search that
+    # tested each child made 9913 calls, testing the (n-1)-prefixes too made
+    # 5909, and testing the (n-2)-prefixes made 4903.  The accepted counts
+    # pin the verdicts of the twin-pruned search.
     test = kpartite.realizations.labeling_is_canonical
 
     def counted(*args):
-        nonlocal calls
+        nonlocal calls, accepted
         calls += 1
-        return test(*args)
+        verdict = test(*args)
+        accepted += verdict
+        return verdict
 
     monkeypatch.setattr(kpartite.realizations, "labeling_is_canonical", counted)
-    graphs = list(enumerate_realizations(DegreeSequence([3] * 4 + [5] * 6)))
-    assert len(graphs) == 928
-    assert calls == 2731
+    for degrees, realizations, expected in (
+        ([3] * 4 + [5] * 6, 928, (2731, 1483)),
+        ([4] * 10, 60, (1152, 403)),
+    ):
+        calls = accepted = 0
+        graphs = list(enumerate_realizations(DegreeSequence(degrees)))
+        assert len(graphs) == realizations
+        assert (calls, accepted) == expected
 
 
 def test_graph_counts_by_vertex_count():
