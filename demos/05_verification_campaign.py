@@ -26,7 +26,7 @@ print("=== Campaign over all profiles with at most 8 vertices ===")
 total = 0
 all_hold = True
 for profile in iter_profiles(8):
-    result = check_profile(profile, with_reports=False)
+    result = check_profile(profile)
     total += result.realization_count
     all_hold = all_hold and result.theorem_holds
     if result.realization_count > 1:

@@ -148,6 +148,8 @@ def _gather_graphs(path: str, fmt: str | None) -> list[Graph]:
 
 def _cmd_bounds(args) -> int:
     if args.profiles:
+        if args.exact or args.format is not None:
+            raise ValueError("--exact and --format apply to bounds --input only")
         profiles = [_parse_profile(tok) for tok in args.profiles]
         write_text(bounds_report_csv(profiles), args.out)
         return 0
@@ -296,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="clique-size profiles (e.g. 3,3 2,2): CSV campaign over every realization",
     )
-    p.add_argument("--exact", action="store_true", help="also solve exactly")
+    p.add_argument("--exact", action="store_true", help="also solve exactly (--input only)")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("witness", parents=[graph_in], help="size k+1 witness for family members")

@@ -31,7 +31,6 @@ class CampaignResult:
     realization_count: int
     canonical_alpha: int | None
     min_alpha_noncanonical: int | None
-    reports: tuple[BoundReport, ...]
 
     @property
     def canonical_found(self) -> bool:
@@ -88,22 +87,18 @@ def iter_profiles(max_n: int):
     )
 
 
-def check_profile(profile: PartitionProfile, with_reports: bool = True) -> CampaignResult:
+def check_profile(profile: PartitionProfile, *, with_reports: bool = False) -> CampaignResult:
     """Enumerate all realizations of the profile's clique-union degree
-    sequence and test the characterization on each.  With reports, alpha is
-    read from each realization's exact bound report instead of solved again."""
-    target = profile.degree_sequence()
+    sequence and test the characterization on each, with one alpha solve per
+    realization; bound reports come from :func:`bounds_report_rows`."""
+    if with_reports:
+        raise TypeError("check_profile builds no bound reports; use bounds_report_rows")
     count = 0
     canonical_alpha: int | None = None
     min_alpha: int | None = None
-    reports: list[BoundReport] = []
-    for g in enumerate_realizations(target):
+    for g in enumerate_realizations(profile.degree_sequence()):
         count += 1
-        if with_reports:
-            reports.append(compare_bounds(g, with_exact=True))
-            alpha = reports[-1].exact_alpha
-        else:
-            alpha = max_independent_set(g).size
+        alpha = max_independent_set(g).size
         recognized = is_clique_union(g)
         if recognized is not None:
             if recognized.parts != profile.parts:
@@ -120,13 +115,12 @@ def check_profile(profile: PartitionProfile, with_reports: bool = True) -> Campa
         realization_count=count,
         canonical_alpha=canonical_alpha,
         min_alpha_noncanonical=min_alpha,
-        reports=tuple(reports),
     )
 
 
 def verify_theorem(max_n: int) -> list[CampaignResult]:
     """Run :func:`check_profile` for every profile with total <= max_n."""
-    return [check_profile(p, with_reports=False) for p in iter_profiles(max_n)]
+    return [check_profile(p) for p in iter_profiles(max_n)]
 
 
 def find_sharp_example(
@@ -158,7 +152,9 @@ CAMPAIGN_CSV_COLUMNS = ("profile",) + BoundReport.CSV_COLUMNS + (
 
 def bounds_report_rows(profiles: list[PartitionProfile]) -> list[list[str]]:
     """Per-realization bound reports for whole profiles, one row of cells in
-    ``CAMPAIGN_CSV_COLUMNS`` order per realization.
+    ``CAMPAIGN_CSV_COLUMNS`` order per realization.  A row is ``canonical``
+    when its sharpened bound is k; any other count than one such row per
+    profile raises AssertionError.
 
     ``sharpness_flagged`` marks non-canonical realizations where every
     classical independence bound stays below k + 1 <= exact alpha, i.e. where
@@ -171,15 +167,16 @@ def bounds_report_rows(profiles: list[PartitionProfile]) -> list[list[str]]:
     for profile in profiles:
         k = profile.k
         profile_cell = " ".join(str(a) for a in profile.parts)
-        for report in check_profile(profile).reports:
+        canonical_rows = 0
+        for g in enumerate_realizations(profile.degree_sequence()):
+            report = compare_bounds(g, with_exact=True)
             canonical = report.sharpened_alpha == k
-            classical_below = (
-                report.caro_wei < k + 1
-                and report.turan_alpha < k + 1
-                and report.hansen_zheng < k + 1
-            )
+            canonical_rows += canonical
+            classical_below = max(report.caro_wei, report.turan_alpha, report.hansen_zheng) < k + 1
             flagged = not canonical and classical_below and report.exact_alpha >= k + 1
             rows.append([profile_cell, *report.to_csv_row(), str(canonical), str(flagged)])
+        if canonical_rows != 1:
+            raise AssertionError(f"{canonical_rows} canonical realizations of {profile.parts}")
     return rows
 
 

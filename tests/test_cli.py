@@ -186,13 +186,22 @@ def test_bounds_profile_campaign(capsys):
     assert any(line.startswith("3 3,") for line in lines[1:])
 
 
+def test_bounds_profiles_refuses_the_single_graph_options(capsys):
+    # The campaign rows always carry the exact values and are always CSV, so
+    # --exact and --format are read only with --input.
+    for extra in (["--exact"], ["--format", "edges"], ["--exact", "--format", "edges"]):
+        code, out, err = run(capsys, "bounds", "--profiles", "2,2", *extra)
+        assert code == 2 and out == ""
+        assert err == "error: --exact and --format apply to bounds --input only\n", err
+
+
 def test_bounds_profiles_capped_before_any_enumeration(capsys, monkeypatch):
     # (5,5) is within the cap, but (4,7) is not: the command exits 2 before
     # the first profile is checked.
     def never(*args, **kwargs):
-        raise AssertionError("check_profile called before the cap check")
+        raise AssertionError("a profile was enumerated before the cap check")
 
-    monkeypatch.setattr(kpartite.harness, "check_profile", never)
+    monkeypatch.setattr(kpartite.harness, "enumerate_realizations", never)
     code, out, err = run(capsys, "bounds", "--profiles", "5,5", "4,7")
     assert code == 2 and out == ""
     assert err == "error: enumeration supports at most 10 vertices, got 11\n"

@@ -21,7 +21,7 @@ from kpartite import (
 import kpartite.bounds
 import kpartite.exact
 import kpartite.harness
-from kpartite.harness import ascending_partitions
+from kpartite.harness import ascending_partitions, bounds_report_rows
 
 
 def test_partition_iteration_order():
@@ -42,7 +42,6 @@ def test_check_profile_pair_of_triangles():
     assert result.canonical_found and result.canonical_alpha == 2
     assert result.min_alpha_noncanonical == 3
     assert result.theorem_holds
-    assert len(result.reports) == 2
 
 
 def test_check_profile_examples():
@@ -111,22 +110,34 @@ def test_empty_campaign():
     assert bounds_report_csv([]).strip().splitlines()[0].startswith("profile")
 
 
-def test_check_profile_with_reports_solves_alpha_once(monkeypatch):
-    calls = {"mis": 0, "clique": 0}
-    solve, clique = kpartite.exact.max_independent_set, kpartite.bounds.max_clique
+def test_check_profile_builds_no_reports():
+    with pytest.raises(TypeError, match="bounds_report_rows"):
+        check_profile(PartitionProfile((2, 2)), with_reports=True)
 
-    def counted_mis(*args, **kwargs):
-        calls["mis"] += 1
-        return solve(*args, **kwargs)
 
-    def counted_clique(*args, **kwargs):
-        calls["clique"] += 1
-        return clique(*args, **kwargs)
+def test_bounds_report_rows_solve_and_recognize_once_per_realization(monkeypatch):
+    # Per row: alpha once, omega once (whose solver runs the MIS on the
+    # complement) and one clique-union recognition, inside compare_bounds.
+    profile = PartitionProfile((2, 3, 3))
+    realizations = check_profile(profile).realization_count
+    calls = {"mis": 0, "clique": 0, "recognize": 0}
 
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    mis = counted("mis", kpartite.exact.max_independent_set)
     for module in (kpartite.exact, kpartite.bounds, kpartite.harness):
-        monkeypatch.setattr(module, "max_independent_set", counted_mis)
-    monkeypatch.setattr(kpartite.bounds, "max_clique", counted_clique)
-    result = check_profile(PartitionProfile((2, 3, 3)), with_reports=True)
-    assert result.realization_count > 1
-    assert calls["clique"] == result.realization_count
-    assert calls["mis"] == result.realization_count + calls["clique"]
+        monkeypatch.setattr(module, "max_independent_set", mis)
+    clique = counted("clique", kpartite.bounds.max_clique)
+    monkeypatch.setattr(kpartite.bounds, "max_clique", clique)
+    recognize = counted("recognize", kpartite.bounds.is_clique_union)
+    for module in (kpartite.bounds, kpartite.harness):
+        monkeypatch.setattr(module, "is_clique_union", recognize)
+    rows = bounds_report_rows([profile])
+    assert len(rows) == realizations > 1
+    assert calls == {"mis": 2 * realizations, "clique": realizations, "recognize": realizations}
+    assert [row[-2] for row in rows].count("True") == 1
